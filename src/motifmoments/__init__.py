@@ -26,10 +26,8 @@ from .algebra import (
 )
 from .moments import (
     MomentReport,
-    OverlayConfiguration,
     covariance_poly,
     mean_poly,
-    overlay_edge_count,
     second_moment_poly,
     variance_poly,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "LabeledGraph",
     "MomentReport",
     "OracleResult",
-    "OverlayConfiguration",
     "PatternGraph",
     "RationalPolynomial",
     "VerificationCheck",
@@ -80,7 +77,6 @@ __all__ = [
     "falling_factorial_poly",
     "format_rational_decimal",
     "mean_poly",
-    "overlay_edge_count",
     "parse_adjacency_matrix",
     "parse_edge_list",
     "poly_add",

@@ -22,7 +22,6 @@ single column 0 over 1).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -199,7 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"n={n}: " + ", ".join(parts))
     failed = sorted({check.n for check in report.checks if not check.matches})
     if failed:
-        print(f"FAILED: {len(failed)} of {len(n_values)} checks failed")
+        print(f"FAILED: {len(failed)} of {len(n_values)} n values failed")
         return 1
     print(f"all {len(n_values)} checks passed")
     return 0
@@ -213,14 +212,35 @@ def cmd_builtins(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _n_list(text: str) -> list[int]:
     values = [token.strip() for token in text.split(",") if token.strip()]
     if not values:
         raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
     try:
-        return [int(v) for v in values]
+        n_values = [int(v) for v in values]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer in n list: {text!r}") from None
+    repeated = sorted({n for n in n_values if n_values.count(n) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"repeated n values in {text!r}: {', '.join(map(str, repeated))}"
+        )
+    return n_values
 
 
 def _add_source_arguments(parser: argparse.ArgumentParser, secondary: bool = False) -> None:
@@ -256,14 +276,20 @@ def _add_render_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_eval_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--eval", type=_int_at_least(0), metavar="N", help="also evaluate at n=N >= 0"
+    )
+
+
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        type=int,
-        default=os.cpu_count() or 1,
+        type=_int_at_least(1),
+        default=1,
         metavar="W",
-        help="worker processes for the placement loop; output is identical "
-        "for any setting (default: all cores)",
+        help="accepted for compatibility, must be >= 1; the engine runs in "
+        "one process and the output is identical for any value (default: 1)",
     )
 
 
@@ -278,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean = sub.add_parser("mean", help="mean-count polynomial of a pattern")
     _add_source_arguments(p_mean)
     _add_render_arguments(p_mean)
-    p_mean.add_argument("--eval", type=int, metavar="N", help="also evaluate at n=N")
+    _add_eval_argument(p_mean)
     p_mean.set_defaults(func=cmd_mean)
 
     p_var = sub.add_parser("var", help="variance polynomial of a pattern's count")
     _add_source_arguments(p_var)
     _add_render_arguments(p_var)
-    p_var.add_argument("--eval", type=int, metavar="N", help="also evaluate at n=N")
+    _add_eval_argument(p_var)
     p_var.add_argument(
         "--stddev",
         action="store_true",
@@ -297,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_arguments(p_cov)
     _add_source_arguments(p_cov, secondary=True)
     _add_render_arguments(p_cov)
-    p_cov.add_argument("--eval", type=int, metavar="N", help="also evaluate at n=N")
+    _add_eval_argument(p_cov)
     _add_workers_argument(p_cov)
     p_cov.set_defaults(func=cmd_cov)
 

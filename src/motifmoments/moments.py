@@ -6,62 +6,33 @@ probability 1/2.  For patterns A and B this module produces exact polynomials
 in n for the expected count, for the expectation of the product of the two
 counts, and for their covariance (the variance when A = B).
 
-The joint moment sums, for every overlap size i, over all pairs of
-vertex-to-slot permutations of the two copies; a placed pair appears with
-probability 2^-(edges in the union of the two placements).  Placements are
-reduced to bitmasks over the slot-pair universe, so the hot loop is a mask
-union plus popcount feeding an integer histogram keyed by union edge count;
-rational arithmetic happens once per histogram bucket.  Identical placement
-masks are aggregated by multiplicity first, which changes nothing (all
-arithmetic is exact integer counting) but shrinks the loop considerably for
-symmetric patterns.
+The covariance is the overlap sum (Janson, Luczak and Rucinski, *Random
+Graphs*, 2000, ch. 3).  Two placed copies that share i vertices and c edges
+contribute 2^-(eA+eB) (2^c - 1) to it, and nothing when c = 0, so only
+overlaps of i >= 2 vertices count.  Matching an i-subset S of A's vertices,
+taken in increasing order, with an ordered i-tuple t of B's vertices fixes
+such an overlap; the remaining vertices of both copies can be placed in
+(n)_{kA+kB-i} ways.  Hence
+
+    Cov = 2^-(eA+eB) / (|Aut A| |Aut B|)
+          * sum_{i>=2} (n)_{kA+kB-i} * sum_{S,t} (2^popcount(mask_A(S) & mask_B(t)) - 1)
+
+where a mask is the induced edge set on the i slots.  The masks of every
+subset (of one pattern) and every ordered tuple (of the other) are built in
+one depth-first pass per pattern and aggregated by multiplicity, so the pair
+loop runs over distinct masks only.  All arithmetic is exact integer
+counting until one rational scale at the end.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import Sequence
 
 from .algebra import RationalPolynomial, falling_factorial_poly
-from .pattern import DEFAULT_MAX_VERTICES, PatternGraph
+from .pattern import PatternGraph, _check_size
 from .symmetry import automorphism_count
-
-Edges = tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class OverlayConfiguration:
-    """Placement of two pattern copies on a shared slot universe.
-
-    With k1 and k2 pattern vertices sharing `shared` slots, the universe has
-    k1 + k2 - shared slots.  Copy A's vertex v occupies slot slots_a[v]
-    (slots_a is a permutation of 0..k1-1).  Copy B's vertex w is routed
-    through slots_b[w] (a permutation of 0..k2-1): targets below `shared`
-    land on the same low slots copy A uses, the rest continue past copy A's
-    block.  Which slots are designated as shared is a fixed convention; the
-    moment sums range over entire symmetric groups, so any consistent choice
-    yields the same totals.
-    """
-
-    shared: int
-    slots_a: tuple[int, ...]
-    slots_b: tuple[int, ...]
-
-    def validate(self, k_a: int, k_b: int) -> None:
-        if not 0 <= self.shared <= min(k_a, k_b):
-            raise ValueError(
-                f"shared slot count {self.shared} out of range for "
-                f"patterns with {k_a} and {k_b} vertices"
-            )
-        if sorted(self.slots_a) != list(range(k_a)):
-            raise ValueError(f"slots_a must be a permutation of 0..{k_a - 1}")
-        if sorted(self.slots_b) != list(range(k_b)):
-            raise ValueError(f"slots_b must be a permutation of 0..{k_b - 1}")
 
 
 @dataclass(frozen=True)
@@ -83,13 +54,23 @@ class MomentReport:
     aut_b: int
 
 
-def _check_engine_size(pattern: PatternGraph) -> None:
-    k = pattern.vertex_count
-    if k > DEFAULT_MAX_VERTICES:
-        raise ValueError(
-            f"pattern has {k} vertices, above the engine maximum of "
-            f"{DEFAULT_MAX_VERTICES}: the permutation-pair loop grows as (k!)^2"
-        )
+def _check_arguments(pattern_a: PatternGraph, pattern_b: PatternGraph, workers: int) -> None:
+    _check_size(pattern_a.vertex_count)
+    _check_size(pattern_b.vertex_count)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _aut_counts(pattern_a: PatternGraph, pattern_b: PatternGraph) -> tuple[int, int]:
+    """Both automorphism group orders, searching once when the patterns are equal."""
+    aut_a = automorphism_count(pattern_a)
+    return aut_a, aut_a if pattern_b == pattern_a else automorphism_count(pattern_b)
+
+
+def _mean(pattern: PatternGraph, aut: int) -> RationalPolynomial:
+    return falling_factorial_poly(pattern.vertex_count) * Fraction(
+        1, aut * 2**pattern.edge_count
+    )
 
 
 def mean_poly(pattern: PatternGraph) -> RationalPolynomial:
@@ -99,147 +80,121 @@ def mean_poly(pattern: PatternGraph) -> RationalPolynomial:
     automorphism count, times the probability 2^-edges that one placement's
     edges are all present.
     """
-    _check_engine_size(pattern)
+    _check_size(pattern.vertex_count)
+    return _mean(pattern, automorphism_count(pattern))
+
+
+def _mask_tables(pattern: PatternGraph, depth: int, ordered: bool) -> list[Counter[int]]:
+    """tables[i]: induced slot-pair masks of the pattern's i-vertex selections.
+
+    A selection is an ordered i-tuple of distinct vertices when `ordered`, and
+    an i-subset in increasing vertex order otherwise; tables run to i = depth.
+    Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing slot p only adds
+    the bits of pairs (., p).  Along the depth-first pass, slot_adj[w] holds
+    the slots already taken by neighbours of w; extending by w ORs it in.
+    """
     k = pattern.vertex_count
-    scale = Fraction(1, automorphism_count(pattern) * 2**pattern.edge_count)
-    return falling_factorial_poly(k) * scale
+    neighbours: list[list[int]] = [[] for _ in range(k)]
+    for u, v in pattern.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    tables: list[Counter[int]] = [Counter() for _ in range(depth + 1)]
+    slot_adj = [0] * k
+
+    def extend(size: int, mask: int, used: int, start: int) -> None:
+        table = tables[size + 1]
+        shift = size * (size - 1) // 2
+        for w in range(0 if ordered else start, k):
+            if used >> w & 1:
+                continue
+            grown = mask | slot_adj[w] << shift
+            table[grown] += 1
+            if size + 1 < depth:
+                bit = 1 << size
+                for x in neighbours[w]:
+                    slot_adj[x] |= bit
+                extend(size + 1, grown, used | 1 << w, w + 1)
+                for x in neighbours[w]:
+                    slot_adj[x] &= ~bit
+
+    extend(0, 0, 0, 0)
+    return tables
 
 
-def _slot_of(target: int, shared: int, k_first: int) -> int:
-    """Slot universe index for copy B's permutation target."""
-    return target if target < shared else k_first + (target - shared)
+def _overlap_sums(pattern_a: PatternGraph, pattern_b: PatternGraph) -> list[int]:
+    """sums[i] = sum over i-subsets S of A and ordered i-tuples t of B of
+    2^popcount(mask_A(S) & mask_B(t)) - 1.
 
-
-def _pair_bit(a: int, b: int, slots: int) -> int:
-    """Bit index of slot pair {a, b} (row-major upper triangle)."""
-    if a > b:
-        a, b = b, a
-    return a * slots - a * (a + 1) // 2 + (b - a - 1)
-
-
-def _edge_mask(edges: Edges, placement: Sequence[int], slots: int) -> int:
-    """Bitmask of the slot pairs covered by the placed edges."""
-    mask = 0
-    for u, v in edges:
-        mask |= 1 << _pair_bit(placement[u], placement[v], slots)
-    return mask
-
-
-def overlay_edge_count(
-    pattern_a: PatternGraph, pattern_b: PatternGraph, config: OverlayConfiguration
-) -> int:
-    """Number of edges in the union of the two placed copies."""
-    k_a, k_b = pattern_a.vertex_count, pattern_b.vertex_count
-    config.validate(k_a, k_b)
-    slots = k_a + k_b - config.shared
-    mask_a = _edge_mask(pattern_a.sorted_edges(), config.slots_a, slots)
-    placement_b = tuple(_slot_of(t, config.shared, k_a) for t in config.slots_b)
-    mask_b = _edge_mask(pattern_b.sorted_edges(), placement_b, slots)
-    return (mask_a | mask_b).bit_count()
-
-
-def _mask_multiplicities(
-    edges: Edges, k: int, slots: int, shared: int | None, k_first: int
-) -> list[tuple[int, int]]:
-    """Distinct placement masks with multiplicities, in first-seen order.
-
-    shared=None places permutations directly (copy A); otherwise targets are
-    routed through the shared-slot map (copy B).
+    The sum is symmetric in which pattern supplies the subsets, so the one
+    with fewer vertices supplies the (more numerous) ordered tuples.
     """
-    counts: Counter[int] = Counter()
-    for perm in permutations(range(k)):
-        if shared is None:
-            placement: Sequence[int] = perm
-        else:
-            placement = tuple(_slot_of(t, shared, k_first) for t in perm)
-        counts[_edge_mask(edges, placement, slots)] += 1
-    return list(counts.items())
+    if pattern_b.vertex_count > pattern_a.vertex_count:
+        pattern_a, pattern_b = pattern_b, pattern_a
+    depth = pattern_b.vertex_count
+    subsets = _mask_tables(pattern_a, depth, ordered=False)
+    tuples = _mask_tables(pattern_b, depth, ordered=True)
+    weights = [(1 << c) - 1 for c in range(depth * (depth - 1) // 2 + 1)]
+    sums = [0] * (depth + 1)
+    for i in range(2, depth + 1):
+        items_b = [(mask, count) for mask, count in tuples[i].items() if mask]
+        total = 0
+        for mask_a, count_a in subsets[i].items():
+            if mask_a:
+                total += count_a * sum(
+                    count_b * weights[(mask_a & mask_b).bit_count()]
+                    for mask_b, count_b in items_b
+                )
+        sums[i] = total
+    return sums
 
 
-def _histogram_task(
-    task: tuple[Edges, int, Edges, int, int, int, int],
-) -> list[int]:
-    """Histogram of union edge counts over one stride of A-placements.
-
-    Strides partition the distinct A-masks; summing the returned histograms
-    over all strides reproduces the full placement-pair histogram exactly.
-    """
-    edges_a, k_a, edges_b, k_b, shared, stride, stride_count = task
-    slots = k_a + k_b - shared
-    items_a = _mask_multiplicities(edges_a, k_a, slots, None, k_a)
-    items_b = _mask_multiplicities(edges_b, k_b, slots, shared, k_a)
-    histogram = [0] * (len(edges_a) + len(edges_b) + 1)
-    for mask_a, mult_a in items_a[stride::stride_count]:
-        for mask_b, mult_b in items_b:
-            histogram[(mask_a | mask_b).bit_count()] += mult_a * mult_b
-    return histogram
-
-
-def _overlap_histograms(
-    edges_a: Edges, k_a: int, edges_b: Edges, k_b: int, workers: int
-) -> list[list[int]]:
-    """Per-overlap-size histograms of union edge counts over all placement pairs."""
-    max_shared = min(k_a, k_b)
-    stride_count = max(1, workers)
-    tasks = [
-        (edges_a, k_a, edges_b, k_b, shared, stride, stride_count)
-        for shared in range(max_shared + 1)
-        for stride in range(stride_count)
-    ]
-    if workers <= 1:
-        results = [_histogram_task(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_histogram_task, tasks))
-    buckets = len(edges_a) + len(edges_b) + 1
-    merged = [[0] * buckets for _ in range(max_shared + 1)]
-    for task, histogram in zip(tasks, results):
-        shared = task[4]
-        for m, count in enumerate(histogram):
-            merged[shared][m] += count
-    return merged
+def _covariance(
+    pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
+) -> RationalPolynomial:
+    k = pattern_a.vertex_count + pattern_b.vertex_count
+    total = RationalPolynomial()
+    for i, overlap in enumerate(_overlap_sums(pattern_a, pattern_b)):
+        if overlap:
+            total = total + falling_factorial_poly(k - i) * overlap
+    edges = pattern_a.edge_count + pattern_b.edge_count
+    return total * Fraction(1, aut_a * aut_b * 2**edges)
 
 
 def second_moment_poly(
-    pattern_a: PatternGraph, pattern_b: PatternGraph, workers: int = 1
+    pattern_a: PatternGraph,
+    pattern_b: PatternGraph,
+    workers: int = 1,
+    *,
+    aut_counts: tuple[int, int] | None = None,
 ) -> RationalPolynomial:
-    """Exact polynomial for E[count_A * count_B].
+    """Exact polynomial for E[count_A * count_B]: the covariance plus the
+    product of the means.
 
-    For each overlap size i the ordered ways to choose the slot universe are
-    counted by the falling factorial of k1 + k2 - i over i! (k1-i)! (k2-i)!,
-    and every placement pair contributes 2^-(union edge count); the total is
-    divided by both automorphism counts.
+    `workers` must be >= 1 and has no other effect: the engine runs in this
+    process.  `aut_counts` passes both automorphism group orders when the
+    caller already has them; they are computed otherwise.
     """
-    _check_engine_size(pattern_a)
-    _check_engine_size(pattern_b)
-    k_a, k_b = pattern_a.vertex_count, pattern_b.vertex_count
-    histograms = _overlap_histograms(
-        pattern_a.sorted_edges(), k_a, pattern_b.sorted_edges(), k_b, workers
-    )
-    total = RationalPolynomial()
-    for shared, histogram in enumerate(histograms):
-        inner = sum(
-            (Fraction(count, 1 << m) for m, count in enumerate(histogram) if count),
-            Fraction(0),
-        )
-        weight = Fraction(
-            1,
-            math.factorial(shared)
-            * math.factorial(k_a - shared)
-            * math.factorial(k_b - shared),
-        )
-        total = total + falling_factorial_poly(k_a + k_b - shared) * (weight * inner)
-    scale = Fraction(1, automorphism_count(pattern_a) * automorphism_count(pattern_b))
-    return total * scale
+    _check_arguments(pattern_a, pattern_b, workers)
+    aut_a, aut_b = aut_counts or _aut_counts(pattern_a, pattern_b)
+    return _covariance(pattern_a, pattern_b, aut_a, aut_b) + _mean(
+        pattern_a, aut_a
+    ) * _mean(pattern_b, aut_b)
 
 
 def covariance_poly(
     pattern_a: PatternGraph, pattern_b: PatternGraph, workers: int = 1
 ) -> MomentReport:
-    """Covariance of the two subgraph counts, with all components bundled."""
-    mean_a = mean_poly(pattern_a)
-    mean_b = mean_poly(pattern_b)
-    second = second_moment_poly(pattern_a, pattern_b, workers=workers)
+    """Covariance of the two subgraph counts, with all components bundled.
+
+    `workers` must be >= 1 and has no other effect; the output is the same
+    for every value.
+    """
+    _check_arguments(pattern_a, pattern_b, workers)
+    aut_a, aut_b = _aut_counts(pattern_a, pattern_b)
+    mean_a, mean_b = _mean(pattern_a, aut_a), _mean(pattern_b, aut_b)
+    second = second_moment_poly(
+        pattern_a, pattern_b, workers=workers, aut_counts=(aut_a, aut_b)
+    )
     return MomentReport(
         pattern_a=pattern_a,
         pattern_b=pattern_b,
@@ -247,11 +202,14 @@ def covariance_poly(
         mean_b=mean_b,
         second_moment=second,
         covariance=second - mean_a * mean_b,
-        aut_a=automorphism_count(pattern_a),
-        aut_b=automorphism_count(pattern_b),
+        aut_a=aut_a,
+        aut_b=aut_b,
     )
 
 
 def variance_poly(pattern: PatternGraph, workers: int = 1) -> MomentReport:
-    """Variance of the subgraph count: the covariance of a pattern with itself."""
+    """Variance of the subgraph count: the covariance of a pattern with itself.
+
+    `workers` must be >= 1 and has no other effect.
+    """
     return covariance_poly(pattern, pattern, workers=workers)

@@ -12,8 +12,11 @@ edge list
     first nonblank line is the vertex count k; every further nonblank line is
     ``u v`` with 0 <= u, v < k.  Duplicate edges collapse.
 
-Pattern size is capped (default 8 vertices): the moment engine enumerates
-k1! * k2! permutation pairs per overlap size, which is infeasible past that.
+Pattern size is capped (default 8 vertices), by the parsers, the builtins
+and the moment engine alike: the engine's overlap sum visits every ordered
+tuple of distinct vertices of one pattern, about e * k! tuples, so each
+added vertex multiplies its cost by about k (path:8 variance takes about
+0.2 s on a 2-vCPU Intel Xeon).
 """
 
 from __future__ import annotations
@@ -68,12 +71,12 @@ class PatternGraph:
         return tuple(sorted(self.edges))
 
 
-def _check_size(vertex_count: int, max_vertices: int) -> None:
+def _check_size(vertex_count: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
     if vertex_count > max_vertices:
         raise ValueError(
-            f"pattern has {vertex_count} vertices, above the supported maximum of "
-            f"{max_vertices}: moment computation enumerates (k!)^2 permutation "
-            f"pairs and becomes infeasible beyond that"
+            f"pattern has {vertex_count} vertices, above the engine maximum of "
+            f"{max_vertices}: the overlap sum visits about e * k! ordered vertex "
+            f"tuples, so each added vertex multiplies its cost by about k"
         )
 
 

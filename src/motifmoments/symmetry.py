@@ -3,7 +3,10 @@
 An automorphism is a vertex permutation that maps edges to edges.  The search
 backtracks over partial vertex maps with degree pruning; a brute-force filter
 over all k! permutations is kept alongside as an independent cross-check.  At
-the supported sizes (k <= 8, so at most 40320 candidates) both are instant.
+the supported sizes (k <= 8, so at most 40320 candidates) the search is
+slowest on clique:8, whose 40320 automorphisms take about 0.25 s to list on
+a 2-vCPU Intel Xeon, so the moment engine searches once per distinct
+pattern per call.
 """
 
 from __future__ import annotations

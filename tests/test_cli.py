@@ -23,6 +23,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_rejected(capsys, *argv):
+    """Run an argument list the parser must refuse; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_mean_triangle_human(capsys):
     code, out, err = run(capsys, "mean", "--builtin", "triangle")
     assert code == 0 and err == ""
@@ -170,7 +178,35 @@ def test_verify_mismatch_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--builtin", "triangle", "--n", "3")
     assert code == 1
     assert "MISMATCH (engine 1/8, oracle 7/64)" in out
-    assert "FAILED: 1 of 1 checks failed" in out
+    assert "FAILED: 1 of 1 n values failed" in out
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+@pytest.mark.parametrize("command", ["var", "cov", "verify"])
+def test_workers_below_one_rejected(capsys, command, workers):
+    extra = ("--n", "3") if command == "verify" else ()
+    err = run_rejected(capsys, command, "--builtin", "edge", *extra, "--workers", workers)
+    assert f"argument --workers: must be >= 1, got {workers}" in err
+
+
+@pytest.mark.parametrize("command", ["mean", "var", "cov"])
+def test_negative_eval_rejected(capsys, command):
+    err = run_rejected(capsys, command, "--builtin", "edge", "--eval", "-3")
+    assert "argument --eval: must be >= 0, got -3" in err
+
+
+def test_verify_repeated_n_rejected(capsys):
+    err = run_rejected(capsys, "verify", "--builtin", "triangle", "--n", "3,4,3")
+    assert "repeated n values in '3,4,3': 3" in err
+
+
+def test_workers_default_and_help(capsys):
+    code, out, _ = run(capsys, "var", "--builtin", "edge")
+    assert code == 0 and out.strip() == "1/8 n^2 - 1/8 n"
+    with pytest.raises(SystemExit):
+        main(["var", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "identical for any value (default: 1)" in help_text
 
 
 def test_pattern_from_stdin(capsys, monkeypatch):

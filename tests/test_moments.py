@@ -1,20 +1,23 @@
-"""Moment engine: golden polynomials, overlay semantics, structural invariants."""
+"""Moment engine: golden polynomials, structural invariants, argument checks."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motifmoments
 from motifmoments import (
-    OverlayConfiguration,
     PatternGraph,
     RationalPolynomial,
+    automorphism_count,
     builtin,
     covariance_poly,
     mean_poly,
-    overlay_edge_count,
     poly_eval_exact,
     relabel,
     second_moment_poly,
@@ -51,34 +54,6 @@ def test_mean_degree_and_roots():
         assert mean.degree == p.vertex_count
         for n in range(p.vertex_count):
             assert poly_eval_exact(mean, n) == 0
-
-
-def test_overlay_edge_count_edge_pair():
-    edge = builtin("edge")
-    for pa in permutations(range(2)):
-        for pb in permutations(range(2)):
-            coincide = OverlayConfiguration(2, pa, pb)
-            assert overlay_edge_count(edge, edge, coincide) == 1
-            disjoint = OverlayConfiguration(0, pa, pb)
-            assert overlay_edge_count(edge, edge, disjoint) == 2
-
-
-def test_overlay_edge_count_edge_inside_triangle():
-    edge, triangle = builtin("edge"), builtin("triangle")
-    for pa in permutations(range(2)):
-        for pb in permutations(range(3)):
-            config = OverlayConfiguration(2, pa, pb)
-            assert overlay_edge_count(edge, triangle, config) == 3
-
-
-def test_overlay_configuration_validation():
-    edge = builtin("edge")
-    with pytest.raises(ValueError, match="shared"):
-        overlay_edge_count(edge, edge, OverlayConfiguration(3, (0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="slots_a"):
-        overlay_edge_count(edge, edge, OverlayConfiguration(1, (0, 0), (0, 1)))
-    with pytest.raises(ValueError, match="slots_b"):
-        overlay_edge_count(edge, edge, OverlayConfiguration(1, (0, 1), (1, 2)))
 
 
 def test_second_moment_edge_pair():
@@ -170,6 +145,45 @@ def test_workers_do_not_change_output():
         assert covariance_poly(
             builtin("edge"), builtin("triangle"), workers=workers
         ).covariance == RationalPolynomial(GOLDEN_COV_EDGE_TRIANGLE)
+
+
+def test_workers_below_one_rejected():
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            variance_poly(builtin("edge"), workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            second_moment_poly(builtin("edge"), builtin("edge"), workers=workers)
+
+
+def test_automorphisms_searched_once_per_distinct_pattern(monkeypatch):
+    import motifmoments.moments as moments_module
+
+    searched = []
+
+    def counting(pattern):
+        searched.append(pattern)
+        return automorphism_count(pattern)
+
+    monkeypatch.setattr(moments_module, "automorphism_count", counting)
+    report = variance_poly(builtin("square"))
+    assert searched == [builtin("square")] and report.aut_a == report.aut_b == 8
+    searched.clear()
+    covariance_poly(builtin("edge"), builtin("triangle"))
+    assert searched == [builtin("edge"), builtin("triangle")]
+
+
+def test_import_starts_no_process_machinery():
+    code = (
+        "import sys, motifmoments, motifmoments.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    src = str(Path(motifmoments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
 
 
 @st.composite
