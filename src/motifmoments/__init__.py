@@ -8,16 +8,10 @@ exhaustive-enumeration oracle at small n.
 """
 
 from .algebra import (
-    ExactRational,
     RationalPolynomial,
     falling_factorial_poly,
     format_rational_decimal,
-    poly_add,
-    poly_eval_decimal,
     poly_eval_exact,
-    poly_mul,
-    poly_scale,
-    poly_sub,
     rat_add,
     rat_div,
     rat_mul,
@@ -52,14 +46,13 @@ from .pattern import (
     to_adjacency_text,
     to_edge_list_text,
 )
-from .symmetry import automorphism_count, automorphisms
+from .symmetry import automorphism_count
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
     "DEFAULT_NODE_CAP",
-    "ExactRational",
     "LabeledGraph",
     "MomentReport",
     "OracleResult",
@@ -68,7 +61,6 @@ __all__ = [
     "VerificationCheck",
     "VerificationReport",
     "automorphism_count",
-    "automorphisms",
     "builtin",
     "builtin_names",
     "count_subgraphs",
@@ -79,12 +71,7 @@ __all__ = [
     "mean_poly",
     "parse_adjacency_matrix",
     "parse_edge_list",
-    "poly_add",
-    "poly_eval_decimal",
     "poly_eval_exact",
-    "poly_mul",
-    "poly_scale",
-    "poly_sub",
     "rat_add",
     "rat_div",
     "rat_mul",

@@ -19,10 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-# Canonical exact scalar: positive denominator, gcd(numerator, denominator) = 1,
-# zero stored as 0/1.  Fraction maintains all three on every operation.
-ExactRational = Fraction
-
 Coefficient = Union[int, Fraction]
 
 # Exponent at which decimal rendering switches to scientific notation.
@@ -130,34 +126,9 @@ class RationalPolynomial:
         return value
 
 
-def poly_add(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
-    """Exact coefficient-wise sum."""
-    return p + q
-
-
-def poly_sub(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
-    """Exact coefficient-wise difference."""
-    return p - q
-
-
-def poly_mul(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
-    """Exact product by coefficient convolution."""
-    return p * q
-
-
-def poly_scale(p: RationalPolynomial, c: Coefficient) -> RationalPolynomial:
-    """Every coefficient multiplied by the scalar c."""
-    return p * Fraction(c)
-
-
 def poly_eval_exact(p: RationalPolynomial, n: Coefficient) -> Fraction:
     """Exact rational value of p at n."""
     return p(n)
-
-
-def poly_eval_decimal(p: RationalPolynomial, n: Coefficient, significant_digits: int = 5) -> str:
-    """Decimal rendering of the exact value of p at n (see format_rational_decimal)."""
-    return format_rational_decimal(p(n), significant_digits)
 
 
 @lru_cache(maxsize=None)

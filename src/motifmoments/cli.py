@@ -140,12 +140,12 @@ def cmd_mean(args: argparse.Namespace) -> int:
 
 
 def cmd_var(args: argparse.Namespace) -> int:
+    if args.stddev and args.eval is None:
+        raise ValueError("--stddev requires --eval N")
     pattern = _load_pattern(args)
     report = variance_poly(pattern, workers=args.workers)
     print(render_poly(report.covariance, args.format))
     if args.eval is None:
-        if args.stddev:
-            raise ValueError("--stddev requires --eval N")
         return 0
     n, digits = args.eval, args.digits
     mean_value = poly_eval_exact(report.mean_a, n)
@@ -269,10 +269,10 @@ def _add_render_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--digits",
-        type=int,
+        type=_int_at_least(1),
         default=5,
         metavar="D",
-        help="significant digits for decimal output (default: 5)",
+        help="significant digits for decimal output, D >= 1 (default: 5)",
     )
 
 

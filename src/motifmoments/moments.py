@@ -54,13 +54,6 @@ class MomentReport:
     aut_b: int
 
 
-def _check_arguments(pattern_a: PatternGraph, pattern_b: PatternGraph, workers: int) -> None:
-    _check_size(pattern_a.vertex_count)
-    _check_size(pattern_b.vertex_count)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def _aut_counts(pattern_a: PatternGraph, pattern_b: PatternGraph) -> tuple[int, int]:
     """Both automorphism group orders, searching once when the patterns are equal."""
     aut_a = automorphism_count(pattern_a)
@@ -161,21 +154,19 @@ def _covariance(
 
 
 def second_moment_poly(
-    pattern_a: PatternGraph,
-    pattern_b: PatternGraph,
-    workers: int = 1,
-    *,
-    aut_counts: tuple[int, int] | None = None,
+    pattern_a: PatternGraph, pattern_b: PatternGraph, workers: int = 1
 ) -> RationalPolynomial:
     """Exact polynomial for E[count_A * count_B]: the covariance plus the
     product of the means.
 
     `workers` must be >= 1 and has no other effect: the engine runs in this
-    process.  `aut_counts` passes both automorphism group orders when the
-    caller already has them; they are computed otherwise.
+    process.
     """
-    _check_arguments(pattern_a, pattern_b, workers)
-    aut_a, aut_b = aut_counts or _aut_counts(pattern_a, pattern_b)
+    _check_size(pattern_a.vertex_count)
+    _check_size(pattern_b.vertex_count)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    aut_a, aut_b = _aut_counts(pattern_a, pattern_b)
     return _covariance(pattern_a, pattern_b, aut_a, aut_b) + _mean(
         pattern_a, aut_a
     ) * _mean(pattern_b, aut_b)
@@ -189,12 +180,9 @@ def covariance_poly(
     `workers` must be >= 1 and has no other effect; the output is the same
     for every value.
     """
-    _check_arguments(pattern_a, pattern_b, workers)
+    second = second_moment_poly(pattern_a, pattern_b, workers=workers)
     aut_a, aut_b = _aut_counts(pattern_a, pattern_b)
     mean_a, mean_b = _mean(pattern_a, aut_a), _mean(pattern_b, aut_b)
-    second = second_moment_poly(
-        pattern_a, pattern_b, workers=workers, aut_counts=(aut_a, aut_b)
-    )
     return MomentReport(
         pattern_a=pattern_a,
         pattern_b=pattern_b,

@@ -202,9 +202,8 @@ def builtin(name: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> PatternGraph
             f"unknown builtin pattern {name!r} (known: {known}; "
             f"parameterized: clique:K, cycle:K, path:K, star:K)"
         )
-    pattern = _FAMILIES[family](size)
-    _check_size(pattern.vertex_count, max_vertices)
-    return pattern
+    _check_size(size + 1 if family == "star" else size, max_vertices)
+    return _FAMILIES[family](size)
 
 
 def builtin_names() -> tuple[str, ...]:

@@ -11,12 +11,7 @@ from motifmoments import (
     RationalPolynomial,
     falling_factorial_poly,
     format_rational_decimal,
-    poly_add,
-    poly_eval_decimal,
     poly_eval_exact,
-    poly_mul,
-    poly_scale,
-    poly_sub,
     rat_add,
     rat_div,
     rat_mul,
@@ -54,15 +49,15 @@ def test_polynomial_construction_trims_trailing_zeros():
 
 def test_poly_sub_self_is_zero():
     p = RationalPolynomial((F(1, 3), -2, F(5, 7)))
-    assert poly_sub(p, p) == RationalPolynomial()
+    assert p - p == RationalPolynomial()
 
 
 def test_poly_mul_examples():
     n = RationalPolynomial((0, 1))
     n_minus_1 = RationalPolynomial((-1, 1))
-    assert poly_mul(n, n_minus_1).coeffs == (F(0), F(-1), F(1))
-    n2_minus_n = poly_mul(n, n_minus_1)
-    assert poly_mul(n2_minus_n, RationalPolynomial((-2, 1))).coeffs == (
+    assert (n * n_minus_1).coeffs == (F(0), F(-1), F(1))
+    n2_minus_n = n * n_minus_1
+    assert (n2_minus_n * RationalPolynomial((-2, 1))).coeffs == (
         F(0),
         F(2),
         F(-3),
@@ -72,9 +67,9 @@ def test_poly_mul_examples():
 
 def test_poly_scale():
     cubed = RationalPolynomial((0, 0, 0, 1))
-    assert poly_scale(cubed, F(1, 48)).coeffs == (F(0), F(0), F(0), F(1, 48))
-    assert poly_scale(cubed, 0) == RationalPolynomial()
-    assert poly_scale(RationalPolynomial((0, -1, 1)), F(1, 8)).coeffs == (
+    assert (cubed * F(1, 48)).coeffs == (F(0), F(0), F(0), F(1, 48))
+    assert cubed * 0 == RationalPolynomial()
+    assert (RationalPolynomial((0, -1, 1)) * F(1, 8)).coeffs == (
         F(0),
         F(-1, 8),
         F(1, 8),
@@ -109,16 +104,16 @@ def test_poly_eval_exact_examples():
     triangle_var = RationalPolynomial((0, F(-1, 96), F(1, 32), F(-11, 384), F(1, 128)))
     assert poly_eval_exact(triangle_var, 3) == F(7, 64)
     # mean wedge count on 3 nodes: 6 ordered placements / 2, each present w.p. 1/4
-    wedge_mean = poly_scale(falling_factorial_poly(3), F(1, 8))
+    wedge_mean = falling_factorial_poly(3) * F(1, 8)
     assert poly_eval_exact(wedge_mean, 3) == F(3, 4)
 
 
 def test_poly_eval_decimal_examples():
-    triangle_mean = poly_scale(falling_factorial_poly(3), F(1, 48))
-    assert poly_eval_decimal(triangle_mean, 10**6, 5) == "2.0833e16"
-    assert poly_eval_decimal(RationalPolynomial(), 12345, 4) == "0"
+    triangle_mean = falling_factorial_poly(3) * F(1, 48)
+    assert format_rational_decimal(triangle_mean(10**6), 5) == "2.0833e16"
+    assert format_rational_decimal(RationalPolynomial()(12345), 4) == "0"
     edge_var = RationalPolynomial((0, F(-1, 8), F(1, 8)))
-    assert poly_eval_decimal(edge_var, 5, 3) == "2.50"
+    assert format_rational_decimal(edge_var(5), 3) == "2.50"
 
 
 def test_format_rational_decimal_cases():
@@ -162,28 +157,28 @@ def test_sqrt_decimal_matches_float_reference(value):
 
 @given(polys, polys)
 def test_poly_add_commutes(p, q):
-    assert poly_add(p, q) == poly_add(q, p)
+    assert p + q == q + p
 
 
 @given(polys, polys, polys)
 def test_poly_mul_associates_and_distributes(p, q, r):
-    assert poly_mul(poly_mul(p, q), r) == poly_mul(p, poly_mul(q, r))
-    assert poly_mul(p, poly_add(q, r)) == poly_add(poly_mul(p, q), poly_mul(p, r))
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
 
 
 @given(polys, polys, st.integers(min_value=-8, max_value=8))
 def test_eval_is_ring_homomorphism(p, q, n):
-    assert poly_eval_exact(poly_mul(p, q), n) == rat_mul(
+    assert poly_eval_exact(p * q, n) == rat_mul(
         poly_eval_exact(p, n), poly_eval_exact(q, n)
     )
-    assert poly_eval_exact(poly_add(p, q), n) == rat_add(
+    assert poly_eval_exact(p + q, n) == rat_add(
         poly_eval_exact(p, n), poly_eval_exact(q, n)
     )
 
 
 @given(polys, polys)
 def test_poly_results_are_canonical(p, q):
-    for result in (poly_add(p, q), poly_sub(p, q), poly_mul(p, q)):
+    for result in (p + q, p - q, p * q):
         if result.coeffs:
             assert result.coeffs[-1] != 0
         for c in result.coeffs:

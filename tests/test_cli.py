@@ -28,7 +28,9 @@ def run_rejected(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    return capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 def test_mean_triangle_human(capsys):
@@ -91,9 +93,11 @@ def test_var_worked_example(capsys):
 
 
 def test_var_stddev_requires_eval(capsys):
-    code, _, err = run(capsys, "var", "--builtin", "node", "--stddev", "--workers", "1")
-    assert code == 2
-    assert "--stddev requires --eval" in err
+    # rejected before the variance is computed, so nothing reaches stdout
+    for name in ("node", "triangle"):
+        code, out, err = run(capsys, "var", "--builtin", name, "--stddev", "--workers", "1")
+        assert code == 2 and out == ""
+        assert "--stddev requires --eval" in err
 
 
 def test_cov_edge_triangle(capsys):
@@ -193,6 +197,25 @@ def test_workers_below_one_rejected(capsys, command, workers):
 def test_negative_eval_rejected(capsys, command):
     err = run_rejected(capsys, command, "--builtin", "edge", "--eval", "-3")
     assert "argument --eval: must be >= 0, got -3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("var", "--builtin", "triangle", "--digits", "0", "--eval", "10"),
+        ("mean", "--builtin", "triangle", "--digits", "-3"),
+        ("cov", "--builtin", "edge", "--digits", "0"),
+    ],
+)
+def test_digits_below_one_rejected(capsys, argv):
+    err = run_rejected(capsys, *argv)
+    assert f"argument --digits: must be >= 1, got {argv[argv.index('--digits') + 1]}" in err
+
+
+def test_oversized_builtin_exits_2(capsys):
+    code, out, err = run(capsys, "mean", "--builtin", "star:2000000")
+    assert code == 2 and out == ""
+    assert "2000001 vertices, above the engine maximum" in err
 
 
 def test_verify_repeated_n_rejected(capsys):

@@ -155,7 +155,9 @@ def test_workers_below_one_rejected():
             second_moment_poly(builtin("edge"), builtin("edge"), workers=workers)
 
 
-def test_automorphisms_searched_once_per_distinct_pattern(monkeypatch):
+def test_automorphisms_searched_at_most_once_per_pattern_per_call(monkeypatch):
+    # each public function searches once per distinct pattern; covariance_poly
+    # and second_moment_poly (which it calls) each search, so a variance is 2
     import motifmoments.moments as moments_module
 
     searched = []
@@ -165,11 +167,20 @@ def test_automorphisms_searched_once_per_distinct_pattern(monkeypatch):
         return automorphism_count(pattern)
 
     monkeypatch.setattr(moments_module, "automorphism_count", counting)
-    report = variance_poly(builtin("square"))
-    assert searched == [builtin("square")] and report.aut_a == report.aut_b == 8
-    searched.clear()
-    covariance_poly(builtin("edge"), builtin("triangle"))
-    assert searched == [builtin("edge"), builtin("triangle")]
+    square, edge, triangle = builtin("square"), builtin("edge"), builtin("triangle")
+    calls = [
+        (lambda: mean_poly(square), [square]),
+        (lambda: second_moment_poly(square, square), [square]),
+        (lambda: second_moment_poly(edge, triangle), [edge, triangle]),
+        (lambda: variance_poly(square), [square, square]),
+        (lambda: covariance_poly(edge, triangle), [edge, triangle, edge, triangle]),
+    ]
+    for call, expected in calls:
+        searched.clear()
+        call()
+        assert searched == expected
+    report = variance_poly(square)
+    assert report.aut_a == report.aut_b == 8
 
 
 def test_import_starts_no_process_machinery():

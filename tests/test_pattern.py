@@ -1,5 +1,7 @@
 """Pattern parsing, builtin generators, relabeling, and validation rules."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -100,6 +102,19 @@ def test_builtin_rejections():
         builtin("clique:9")
     with pytest.raises(ValueError, match="maximum"):
         builtin("star:8")
+    assert builtin("star:7").vertex_count == builtin("clique:8").vertex_count == 8
+
+
+def test_oversized_builtin_rejected_before_construction():
+    # the cap is checked before construction: clique:1500 would hold 1.1 million edges
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="engine maximum"):
+            builtin("clique:1500")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_pattern_graph_validation():
