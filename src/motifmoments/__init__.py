@@ -43,8 +43,6 @@ from .pattern import (
     parse_adjacency_matrix,
     parse_edge_list,
     relabel,
-    to_adjacency_text,
-    to_edge_list_text,
 )
 from .symmetry import automorphism_count
 
@@ -79,8 +77,6 @@ __all__ = [
     "relabel",
     "second_moment_poly",
     "sqrt_decimal",
-    "to_adjacency_text",
-    "to_edge_list_text",
     "variance_poly",
     "verify",
 ]

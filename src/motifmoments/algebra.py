@@ -6,8 +6,11 @@ rounds.  A polynomial in the integer variable n is stored densely as a tuple
 of coefficients, index i holding the coefficient of n**i; degrees in this
 package stay small (at most ~16), so a sparse representation would not pay.
 
-Decimal strings are produced from the exact value only at the very end:
-rounding is half-even at the requested significant digit, switching to
+Decimal strings are produced from the exact value only at the very end, by
+one routine for a value and its square root: it finds the decimal exponent,
+takes the floor of the scaled value (or of its square root) in integers,
+rounds half-even by comparing with the exact midpoint, and carries a
+significand of 10**digits into the next exponent.  Rendering switches to
 scientific notation (``2.0833e16``) once the rounded magnitude reaches 10**6.
 """
 
@@ -153,14 +156,6 @@ def _pow10_at_most(numerator: int, denominator: int, exponent: int) -> bool:
     return denominator <= numerator * 10 ** (-exponent)
 
 
-def _round_ratio_half_even(numerator: int, denominator: int) -> int:
-    """Nearest integer to numerator/denominator (both positive), ties to even."""
-    q, r = divmod(numerator, denominator)
-    if 2 * r > denominator or (2 * r == denominator and q % 2 == 1):
-        q += 1
-    return q
-
-
 def _render_digits(sign: str, digit_str: str, exponent: int, digits: int) -> str:
     """Place the decimal point of a `digits`-digit significand at 10**exponent."""
     if exponent >= _SCIENTIFIC_EXPONENT:
@@ -173,6 +168,39 @@ def _render_digits(sign: str, digit_str: str, exponent: int, digits: int) -> str
     return sign + digit_str[: exponent + 1] + "." + digit_str[exponent + 1 :]
 
 
+def _decimal_root(value: Coefficient, root: int, digits: int) -> str:
+    """value**(1/root), for root 1 or 2, rounded half-even to `digits`
+    significant digits and rendered in decimal."""
+    if digits < 1:
+        raise ValueError("significant_digits must be >= 1")
+    value = Fraction(value)
+    if root == 2 and value < 0:
+        raise ValueError("square root of a negative value")
+    if value == 0:
+        return "0"
+    sign = "-" if value < 0 else ""
+    num, den = abs(value.numerator), value.denominator
+    # exponent with 10**exponent <= value**(1/root) < 10**(exponent + 1)
+    exponent = (len(str(num)) - len(str(den))) // root
+    while not _pow10_at_most(num, den, root * exponent):
+        exponent -= 1
+    while _pow10_at_most(num, den, root * (exponent + 1)):
+        exponent += 1
+    # the significand rounds (a/b)**(1/root), a/b = value * 10**shift
+    shift = root * (digits - 1 - exponent)
+    a, b = (num * 10**shift, den) if shift >= 0 else (num, den * 10**-shift)
+    # floor, then half-even against the exact midpoint m + 1/2;
+    # isqrt(a // b) is already the floor of sqrt(a / b)
+    m = a // b if root == 1 else math.isqrt(a // b)
+    above_midpoint = 2**root * a - (2 * m + 1) ** root * b
+    if above_midpoint > 0 or (above_midpoint == 0 and m % 2 == 1):
+        m += 1
+    if m == 10**digits:
+        m //= 10
+        exponent += 1
+    return _render_digits(sign, str(m), exponent, digits)
+
+
 def format_rational_decimal(value: Coefficient, significant_digits: int = 5) -> str:
     """Round an exact rational half-even to `significant_digits` significant
     digits and render it in decimal.
@@ -182,27 +210,7 @@ def format_rational_decimal(value: Coefficient, significant_digits: int = 5) -> 
     zeros up to the significant-digit count (``2.50`` at three digits).  Zero
     prints as ``0``.
     """
-    if significant_digits < 1:
-        raise ValueError("significant_digits must be >= 1")
-    value = Fraction(value)
-    if value == 0:
-        return "0"
-    sign = "-" if value < 0 else ""
-    num, den = abs(value.numerator), value.denominator
-    exponent = len(str(num)) - len(str(den))
-    while not _pow10_at_most(num, den, exponent):
-        exponent -= 1
-    while _pow10_at_most(num, den, exponent + 1):
-        exponent += 1
-    shift = significant_digits - 1 - exponent
-    if shift >= 0:
-        mantissa = _round_ratio_half_even(num * 10**shift, den)
-    else:
-        mantissa = _round_ratio_half_even(num, den * 10 ** (-shift))
-    if mantissa == 10**significant_digits:
-        mantissa //= 10
-        exponent += 1
-    return _render_digits(sign, str(mantissa), exponent, significant_digits)
+    return _decimal_root(value, 1, significant_digits)
 
 
 def sqrt_decimal(value: Coefficient, significant_digits: int = 5) -> str:
@@ -212,35 +220,4 @@ def sqrt_decimal(value: Coefficient, significant_digits: int = 5) -> str:
     the comparison against the true square root is done in exact integer
     arithmetic, so no intermediate floating point is involved.
     """
-    if significant_digits < 1:
-        raise ValueError("significant_digits must be >= 1")
-    value = Fraction(value)
-    if value < 0:
-        raise ValueError("square root of a negative value")
-    if value == 0:
-        return "0"
-    num, den = value.numerator, value.denominator
-    # exponent with 10**exponent <= sqrt(value) < 10**(exponent + 1)
-    exponent = (len(str(num)) - len(str(den))) // 2
-    while not _pow10_at_most(num, den, 2 * exponent):
-        exponent -= 1
-    while _pow10_at_most(num, den, 2 * (exponent + 1)):
-        exponent += 1
-    shift = significant_digits - 1 - exponent
-    if shift >= 0:
-        a, b = num * 10 ** (2 * shift), den
-    else:
-        a, b = num, den * 10 ** (-2 * shift)
-    # floor of sqrt(a/b), then half-even rounding against the exact midpoint
-    m = math.isqrt(a // b)
-    while (m + 1) * (m + 1) * b <= a:
-        m += 1
-    while m * m * b > a:
-        m -= 1
-    midpoint = 4 * a - (2 * m + 1) ** 2 * b
-    if midpoint > 0 or (midpoint == 0 and m % 2 == 1):
-        m += 1
-    if m == 10**significant_digits:
-        m //= 10
-        exponent += 1
-    return _render_digits("", str(m), exponent, significant_digits)
+    return _decimal_root(value, 2, significant_digits)

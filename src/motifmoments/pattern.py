@@ -12,11 +12,11 @@ edge list
     first nonblank line is the vertex count k; every further nonblank line is
     ``u v`` with 0 <= u, v < k.  Duplicate edges collapse.
 
-Pattern size is capped (default 8 vertices), by the parsers, the builtins
-and the moment engine alike: the engine's overlap sum visits every ordered
-tuple of distinct vertices of one pattern, about e * k! tuples, so each
-added vertex multiplies its cost by about k (path:8 variance takes about
-0.2 s on a 2-vCPU Intel Xeon).
+Pattern size is capped at `DEFAULT_MAX_VERTICES` vertices, by the parsers,
+the builtins and the moment engine alike: the engine's overlap sum visits
+every ordered tuple of distinct vertices of one pattern, about e * k!
+tuples, so each added vertex multiplies its cost by about k (path:8
+variance takes about 0.2 s on a 2-vCPU Intel Xeon).
 """
 
 from __future__ import annotations
@@ -71,27 +71,30 @@ class PatternGraph:
         return tuple(sorted(self.edges))
 
 
-def _check_size(vertex_count: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
-    if vertex_count > max_vertices:
+def _check_size(vertex_count: int) -> None:
+    if vertex_count > DEFAULT_MAX_VERTICES:
         raise ValueError(
             f"pattern has {vertex_count} vertices, above the engine maximum of "
-            f"{max_vertices}: the overlap sum visits about e * k! ordered vertex "
-            f"tuples, so each added vertex multiplies its cost by about k"
+            f"{DEFAULT_MAX_VERTICES}: the overlap sum visits about e * k! ordered "
+            f"vertex tuples, so each added vertex multiplies its cost by about k"
         )
 
 
-def parse_adjacency_matrix(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> PatternGraph:
+def parse_adjacency_matrix(text: str) -> PatternGraph:
     """Parse a k x k adjacency matrix; entry (u, v) = 1 means edge {u, v}.
 
     Rejects non-square input, entries other than 0/1, asymmetric matrices and
-    nonzero diagonals, each with a distinct message.
+    nonzero diagonals, each with a distinct message.  The size cap is checked
+    on the line count, before any row is split.
     """
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows:
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
         raise ValueError("empty pattern input")
-    k = len(rows)
+    k = len(lines)
+    _check_size(k)
     matrix: list[list[int]] = []
-    for i, row in enumerate(rows):
+    for i, line in enumerate(lines):
+        row = line.split()
         if len(row) != k:
             raise ValueError(
                 f"adjacency matrix must be square: row {i} has {len(row)} "
@@ -118,25 +121,27 @@ def parse_adjacency_matrix(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) 
                     f"adjacency matrix must be symmetric, entries "
                     f"({i}, {j}) and ({j}, {i}) differ"
                 )
-    _check_size(k, max_vertices)
     edges = [(i, j) for i in range(k) for j in range(i + 1, k) if matrix[i][j]]
     return PatternGraph(k, edges)
 
 
-def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> PatternGraph:
-    """Parse an edge list: first nonblank line is k, then one ``u v`` per line."""
+def parse_edge_list(text: str) -> PatternGraph:
+    """Parse an edge list: first nonblank line is k, then one ``u v`` per line.
+
+    Self-loops and out-of-range endpoints are rejected by `PatternGraph`.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty pattern input")
-    head = lines[0].split()
-    if len(head) != 1 or not head[0].lstrip("-").isdigit():
+    try:
+        (k,) = map(int, lines[0].split())
+    except ValueError:
         raise ValueError(
             f"edge list must start with the vertex count, got {lines[0].strip()!r}"
-        )
-    k = int(head[0])
+        ) from None
     if k < 1:
         raise ValueError("edge list vertex count must be >= 1")
-    _check_size(k, max_vertices)
+    _check_size(k)
     edges = []
     for line in lines[1:]:
         tokens = line.split()
@@ -148,10 +153,6 @@ def parse_edge_list(text: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Patt
             raise ValueError(
                 f"cannot parse edge list line {line.strip()!r}: expected integers"
             ) from None
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} is not allowed")
-        if not (0 <= u < k and 0 <= v < k):
-            raise ValueError(f"edge ({u}, {v}) is out of range for {k} vertices")
         edges.append((u, v))
     return PatternGraph(k, edges)
 
@@ -177,7 +178,7 @@ def _star(leaves: int) -> PatternGraph:
 _FAMILIES = {"clique": _clique, "cycle": _cycle, "path": _path, "star": _star}
 
 
-def builtin(name: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> PatternGraph:
+def builtin(name: str) -> PatternGraph:
     """Builtin pattern by name.
 
     Fixed names: node, edge, wedge (path on 3 vertices), triangle, square
@@ -191,7 +192,7 @@ def builtin(name: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> PatternGraph
         family, _, tail = key.partition(":")
         if family not in _FAMILIES:
             raise ValueError(f"unknown pattern family {family!r} in {name!r}")
-        if not tail.isdigit():
+        if not tail.isdecimal():
             raise ValueError(f"pattern parameter in {name!r} must be a positive integer")
         size = int(tail)
         if size < 1:
@@ -202,7 +203,7 @@ def builtin(name: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> PatternGraph
             f"unknown builtin pattern {name!r} (known: {known}; "
             f"parameterized: clique:K, cycle:K, path:K, star:K)"
         )
-    _check_size(size + 1 if family == "star" else size, max_vertices)
+    _check_size(size + 1 if family == "star" else size)
     return _FAMILIES[family](size)
 
 
@@ -217,19 +218,3 @@ def relabel(pattern: PatternGraph, permutation: Sequence[int]) -> PatternGraph:
     if sorted(permutation) != list(range(k)):
         raise ValueError(f"relabeling must be a bijection on 0..{k - 1}")
     return PatternGraph(k, ((permutation[u], permutation[v]) for u, v in pattern.edges))
-
-
-def to_adjacency_text(pattern: PatternGraph) -> str:
-    """Render as adjacency-matrix text; parse_adjacency_matrix round-trips it."""
-    k = pattern.vertex_count
-    matrix = [[0] * k for _ in range(k)]
-    for u, v in pattern.edges:
-        matrix[u][v] = matrix[v][u] = 1
-    return "\n".join(" ".join(str(x) for x in row) for row in matrix)
-
-
-def to_edge_list_text(pattern: PatternGraph) -> str:
-    """Render as edge-list text; parse_edge_list round-trips it."""
-    lines = [str(pattern.vertex_count)]
-    lines.extend(f"{u} {v}" for u, v in pattern.sorted_edges())
-    return "\n".join(lines)

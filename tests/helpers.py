@@ -1,4 +1,5 @@
-"""Shared test fixtures: frozen golden coefficients and independent oracles.
+"""Shared test fixtures: frozen golden coefficients, independent oracles and
+pattern writers.
 
 The golden coefficient tables below are frozen reference values for the six
 builtin patterns (ascending degree order, entry i = coefficient of n**i).
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from motifmoments import RationalPolynomial
+from motifmoments import PatternGraph, RationalPolynomial
 
 F = Fraction
 
@@ -108,3 +109,19 @@ def parse_human(text: str) -> RationalPolynomial:
     for degree, value in by_degree.items():
         out[degree] = value
     return RationalPolynomial(out)
+
+
+def to_adjacency_text(pattern: PatternGraph) -> str:
+    """Render as adjacency-matrix text; parse_adjacency_matrix round-trips it."""
+    k = pattern.vertex_count
+    matrix = [[0] * k for _ in range(k)]
+    for u, v in pattern.edges:
+        matrix[u][v] = matrix[v][u] = 1
+    return "\n".join(" ".join(str(x) for x in row) for row in matrix)
+
+
+def to_edge_list_text(pattern: PatternGraph) -> str:
+    """Render as edge-list text; parse_edge_list round-trips it."""
+    lines = [str(pattern.vertex_count)]
+    lines.extend(f"{u} {v}" for u, v in pattern.sorted_edges())
+    return "\n".join(lines)

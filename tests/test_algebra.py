@@ -1,10 +1,11 @@
 """Exact scalar/polynomial arithmetic and decimal rendering."""
 
 import math
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motifmoments import (
@@ -153,6 +154,52 @@ def test_sqrt_decimal_matches_float_reference(value):
         return
     rendered = sqrt_decimal(value, 10)
     assert math.isclose(float(Fraction(rendered)), math.sqrt(float(value)), rel_tol=1e-8)
+
+
+# (value, significant digits) pairs: arbitrary rationals, and exact half-way
+# ties (10t+5)/10**j rounded to all but their last digit
+_ratios = st.tuples(
+    st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**20),
+    st.integers(1, 20),
+)
+_ties = st.builds(
+    lambda t, j: (Fraction(10 * t + 5, 10**j), len(str(10 * t + 5)) - 1),
+    st.integers(1, 10**12),
+    st.integers(0, 20),
+)
+
+
+@given(st.one_of(_ratios, _ties))
+@example((Fraction(999999), 5))
+@example((Fraction(99996, 10**4), 4))
+@settings(max_examples=500)
+def test_format_rational_decimal_matches_decimal_module(case):
+    value, digits = case
+    context = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    expected = context.divide(Decimal(value.numerator), Decimal(value.denominator))
+    assert Fraction(format_rational_decimal(value, digits)) == Fraction(expected)
+
+
+# (num, j, significant digits): sqrt of the exact decimal num/10**j, and exact
+# ties: the square of (10t+5)/10**j rounded to all but its last digit
+_decimals = st.tuples(st.integers(0, 10**30), st.integers(0, 30), st.integers(1, 20))
+_sqrt_ties = st.builds(
+    lambda t, j: ((10 * t + 5) ** 2, 2 * j, len(str(10 * t + 5)) - 1),
+    st.integers(1, 10**12),
+    st.integers(0, 15),
+)
+
+
+@given(st.one_of(_decimals, _sqrt_ties))
+@example((99999999999, 9, 5))
+@example((999999, 0, 3))
+@settings(max_examples=500)
+def test_sqrt_decimal_matches_decimal_module(case):
+    num, scale, digits = case
+    context = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    expected = context.sqrt(Decimal(f"{num}e-{scale}"))  # the constructor does not round
+    rendered = sqrt_decimal(Fraction(num, 10**scale), digits)
+    assert Fraction(rendered) == Fraction(expected)
 
 
 @given(polys, polys)

@@ -13,9 +13,9 @@ from motifmoments import (
     parse_adjacency_matrix,
     parse_edge_list,
     relabel,
-    to_adjacency_text,
-    to_edge_list_text,
 )
+
+from helpers import to_adjacency_text, to_edge_list_text
 
 TRIANGLE_MATRIX = "0 1 1\n1 0 1\n1 1 0"
 
@@ -67,6 +67,8 @@ def test_parse_edge_list_rejections():
         parse_edge_list("3\n0 x")
     with pytest.raises(ValueError, match="vertex count"):
         parse_edge_list("x\n0 1")
+    with pytest.raises(ValueError, match="must start with the vertex count"):
+        parse_edge_list("--5\n0 1")
 
 
 def test_builtin_fixed_patterns():
@@ -98,6 +100,8 @@ def test_builtin_rejections():
         builtin("cycle:2")
     with pytest.raises(ValueError, match="positive integer"):
         builtin("clique:x")
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        builtin("clique:\u00b2")
     with pytest.raises(ValueError, match="maximum"):
         builtin("clique:9")
     with pytest.raises(ValueError, match="maximum"):
@@ -115,6 +119,20 @@ def test_oversized_builtin_rejected_before_construction():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_oversized_matrix_rejected_before_rows_are_split():
+    # the cap is checked on the line count: splitting 1500 rows of 1500 entries
+    # would hold 2.25 million tokens
+    text = "\n".join([" ".join(["0"] * 1500)] * 1500)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="engine maximum"):
+            parse_adjacency_matrix(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_pattern_graph_validation():
