@@ -235,6 +235,11 @@ def _n_list(text: str) -> list[int]:
         n_values = [int(v) for v in values]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer in n list: {text!r}") from None
+    negative = [n for n in n_values if n < 0]
+    if negative:
+        raise argparse.ArgumentTypeError(
+            f"n values must be >= 0, got {', '.join(map(str, negative))}"
+        )
     repeated = sorted({n for n in n_values if n_values.count(n) > 1})
     if repeated:
         raise argparse.ArgumentTypeError(
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--oracle-cap",
-        type=int,
+        type=_int_at_least(0),
         default=DEFAULT_NODE_CAP,
         metavar="CAP",
         help=f"largest n the oracle may enumerate (default {DEFAULT_NODE_CAP}, "

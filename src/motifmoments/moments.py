@@ -20,8 +20,11 @@ such an overlap; the remaining vertices of both copies can be placed in
 where a mask is the induced edge set on the i slots.  The masks of every
 subset (of one pattern) and every ordered tuple (of the other) are built in
 one depth-first pass per pattern and aggregated by multiplicity, so the pair
-loop runs over distinct masks only.  All arithmetic is exact integer
-counting until one rational scale at the end.
+loop runs over distinct masks only.  Tuples in one orbit of the automorphism
+group share their mask, so the tuple pass visits one representative per
+orbit, about e * k! / |Aut| of them and at most e * k!, and counts each by
+its orbit size.  All arithmetic is exact integer counting until one rational
+scale at the end.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 from .algebra import RationalPolynomial, falling_factorial_poly
 from .pattern import PatternGraph, _check_size
-from .symmetry import automorphism_count
+from .symmetry import _adjacency, _orbits, automorphism_count
 
 
 @dataclass(frozen=True)
@@ -77,44 +80,60 @@ def mean_poly(pattern: PatternGraph) -> RationalPolynomial:
     return _mean(pattern, automorphism_count(pattern))
 
 
-def _mask_tables(pattern: PatternGraph, depth: int, ordered: bool) -> list[Counter[int]]:
-    """tables[i]: induced slot-pair masks of the pattern's i-vertex selections.
+def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counter[int]]:
+    """tables[i]: induced slot-pair masks of the pattern's i-vertex selections,
+    with multiplicities, for i up to depth.
 
-    A selection is an ordered i-tuple of distinct vertices when `ordered`, and
-    an i-subset in increasing vertex order otherwise; tables run to i = depth.
+    Without `aut` a selection is an i-subset in increasing vertex order.  With
+    aut = |Aut(pattern)| it is an ordered i-tuple of distinct vertices, and
+    the tuples are enumerated modulo the group: t and sigma(t) have the same
+    mask, so a node with prefix p places one representative w of each orbit
+    of G_p, the automorphisms fixing p pointwise, and counts it weight*|G_p w|
+    times, the number of tuples its prefix stands for.  By orbit-stabiliser
+    |G_p| = aut / weight, so once the weight reaches aut the stabiliser is
+    trivial and every free vertex is its own orbit, as in the subset pass.
+    That is about e * k! / aut representatives, at most e * k!.
+
     Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing slot p only adds
     the bits of pairs (., p).  Along the depth-first pass, slot_adj[w] holds
     the slots already taken by neighbours of w; extending by w ORs it in.
     """
     k = pattern.vertex_count
-    neighbours: list[list[int]] = [[] for _ in range(k)]
-    for u, v in pattern.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
+    adjacent = _adjacency(pattern)
+    neighbours = [[x for x in range(k) if adjacent[w] >> x & 1] for w in range(k)]
     tables: list[Counter[int]] = [Counter() for _ in range(depth + 1)]
     slot_adj = [0] * k
+    group = aut or 1  # subsets: the weight stays 1 and every vertex is its own orbit
+    singletons = [1] * k
 
-    def extend(size: int, mask: int, used: int, start: int) -> None:
+    def extend(size: int, mask: int, used: int, start: int, weight: int) -> None:
         table = tables[size + 1]
         shift = size * (size - 1) // 2
-        for w in range(0 if ordered else start, k):
+        if weight == group:  # G_p is trivial
+            representatives, orbit = range(0 if aut else start, k), singletons
+        else:
+            representatives = orbit = _orbits(adjacent, used)
+        for w in representatives:
             if used >> w & 1:
                 continue
             grown = mask | slot_adj[w] << shift
-            table[grown] += 1
+            count = weight * orbit[w]
+            table[grown] += count
             if size + 1 < depth:
                 bit = 1 << size
                 for x in neighbours[w]:
                     slot_adj[x] |= bit
-                extend(size + 1, grown, used | 1 << w, w + 1)
+                extend(size + 1, grown, used | 1 << w, w + 1, count)
                 for x in neighbours[w]:
                     slot_adj[x] &= ~bit
 
-    extend(0, 0, 0, 0)
+    extend(0, 0, 0, 0, 1)
     return tables
 
 
-def _overlap_sums(pattern_a: PatternGraph, pattern_b: PatternGraph) -> list[int]:
+def _overlap_sums(
+    pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
+) -> list[int]:
     """sums[i] = sum over i-subsets S of A and ordered i-tuples t of B of
     2^popcount(mask_A(S) & mask_B(t)) - 1.
 
@@ -122,10 +141,10 @@ def _overlap_sums(pattern_a: PatternGraph, pattern_b: PatternGraph) -> list[int]
     with fewer vertices supplies the (more numerous) ordered tuples.
     """
     if pattern_b.vertex_count > pattern_a.vertex_count:
-        pattern_a, pattern_b = pattern_b, pattern_a
+        pattern_a, pattern_b, aut_a, aut_b = pattern_b, pattern_a, aut_b, aut_a
     depth = pattern_b.vertex_count
-    subsets = _mask_tables(pattern_a, depth, ordered=False)
-    tuples = _mask_tables(pattern_b, depth, ordered=True)
+    subsets = _mask_tables(pattern_a, depth)
+    tuples = _mask_tables(pattern_b, depth, aut_b)
     weights = [(1 << c) - 1 for c in range(depth * (depth - 1) // 2 + 1)]
     sums = [0] * (depth + 1)
     for i in range(2, depth + 1):
@@ -144,13 +163,15 @@ def _overlap_sums(pattern_a: PatternGraph, pattern_b: PatternGraph) -> list[int]
 def _covariance(
     pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
 ) -> RationalPolynomial:
+    # sum_i overlap_i * (n)_{k-i} in integer coefficients, then one division
     k = pattern_a.vertex_count + pattern_b.vertex_count
-    total = RationalPolynomial()
-    for i, overlap in enumerate(_overlap_sums(pattern_a, pattern_b)):
+    total = [0] * (k + 1)
+    for i, overlap in enumerate(_overlap_sums(pattern_a, pattern_b, aut_a, aut_b)):
         if overlap:
-            total = total + falling_factorial_poly(k - i) * overlap
-    edges = pattern_a.edge_count + pattern_b.edge_count
-    return total * Fraction(1, aut_a * aut_b * 2**edges)
+            for power, coeff in enumerate(falling_factorial_poly(k - i).coeffs):
+                total[power] += overlap * coeff.numerator
+    scale = aut_a * aut_b * 2 ** (pattern_a.edge_count + pattern_b.edge_count)
+    return RationalPolynomial(Fraction(c, scale) for c in total)
 
 
 def second_moment_poly(

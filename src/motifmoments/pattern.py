@@ -14,9 +14,11 @@ edge list
 
 Pattern size is capped at `DEFAULT_MAX_VERTICES` vertices, by the parsers,
 the builtins and the moment engine alike: the engine's overlap sum visits
-every ordered tuple of distinct vertices of one pattern, about e * k!
-tuples, so each added vertex multiplies its cost by about k (path:8
-variance takes about 0.2 s on a 2-vCPU Intel Xeon).
+one representative per automorphism orbit of the ordered tuples of distinct
+vertices of one pattern, about e * k! / |Aut| of them and at most e * k!,
+so for a pattern with little symmetry each added vertex multiplies the cost
+by about k (the variance of an 8-vertex pattern with |Aut| = 1 takes
+0.2-0.3 s on a 2-vCPU Intel Xeon).
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ def _check_size(vertex_count: int) -> None:
     if vertex_count > DEFAULT_MAX_VERTICES:
         raise ValueError(
             f"pattern has {vertex_count} vertices, above the engine maximum of "
-            f"{DEFAULT_MAX_VERTICES}: the overlap sum visits about e * k! ordered "
-            f"vertex tuples, so each added vertex multiplies its cost by about k"
+            f"{DEFAULT_MAX_VERTICES}: the overlap sum visits about e * k! / |Aut| "
+            f"ordered vertex tuples, at most e * k!, so each added vertex can "
+            f"multiply its cost by about k"
         )
 
 

@@ -1,5 +1,5 @@
-"""Shared test fixtures: frozen golden coefficients, independent oracles and
-pattern writers.
+"""Shared test fixtures: frozen golden coefficients, independent oracles,
+pattern writers and a few named 8-vertex patterns.
 
 The golden coefficient tables below are frozen reference values for the six
 builtin patterns (ascending degree order, entry i = coefficient of n**i).
@@ -125,3 +125,14 @@ def to_edge_list_text(pattern: PatternGraph) -> str:
     lines = [str(pattern.vertex_count)]
     lines.extend(f"{u} {v}" for u, v in pattern.sorted_edges())
     return "\n".join(lines)
+
+
+def disjoint_union(p: PatternGraph, q: PatternGraph) -> PatternGraph:
+    """p and q side by side, q's vertices shifted past p's."""
+    k = p.vertex_count
+    return PatternGraph(k + q.vertex_count, [*p.edges, *((u + k, v + k) for u, v in q.edges)])
+
+
+def cube() -> PatternGraph:
+    """Q3: vertices are 3-bit words, adjacent when they differ in one bit."""
+    return PatternGraph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])

@@ -1,27 +1,35 @@
 """Certification of the overlap-sum engine beyond the oracle's reach.
 
-Two routes: exact agreement with the permutation-pair reference engine
-(`reference_engine.py`) on every small pattern and a seeded sample of larger
-ones, and polynomial identities that hold at every n for every pattern the
-engine accepts.
+Three routes: the engine's ordered-tuple mask tables, which it enumerates
+modulo the automorphism group, against tables counted tuple by tuple; exact
+agreement with the permutation-pair reference engine (`reference_engine.py`)
+on every small pattern and a seeded sample of larger ones; and polynomial
+identities that hold at every n for every pattern the engine accepts.
 """
 
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from motifmoments import (
     PatternGraph,
     RationalPolynomial,
+    automorphism_count,
     builtin,
     builtin_names,
     covariance_poly,
     mean_poly,
     variance_poly,
 )
+from motifmoments.moments import _mask_tables
 
+from helpers import cube, disjoint_union
 from reference_engine import reference_covariance, reference_second_moment
 
 FIXED_BUILTINS = builtin_names()
@@ -43,6 +51,99 @@ def all_labeled_patterns(k):
 
 def random_pattern(rng, k):
     return PatternGraph(k, [p for p in combinations(range(k), 2) if rng.random() < 0.5])
+
+
+def tuple_tables_by_permutations(pattern):
+    """tables[i][mask]: the ordered i-tuples of distinct vertices whose induced
+    slot-pair mask is `mask`, counted one tuple at a time.
+
+    Slot pair (j, p), j < p, is bit p(p-1)/2 + j.  Every i-tuple is the
+    length-i prefix of (k-i)! permutations, and its mask is the permutation's
+    mask cut to the bits below i(i-1)/2.
+    """
+    k = pattern.vertex_count
+    adjacent = [[(min(u, v), max(u, v)) in pattern.edges for v in range(k)] for u in range(k)]
+    slot_pairs = list(enumerate((j, p) for p in range(k) for j in range(p)))
+    tables = [Counter() for _ in range(k + 1)]
+    for perm in permutations(range(k)):
+        mask = 0
+        for bit, (j, p) in slot_pairs:
+            if adjacent[perm[j]][perm[p]]:
+                mask |= 1 << bit
+        for i in range(1, k + 1):
+            tables[i][mask & ((1 << i * (i - 1) // 2) - 1)] += 1
+    return [
+        Counter({mask: count // factorial(k - i) for mask, count in table.items()})
+        for i, table in enumerate(tables)
+    ]
+
+
+def engine_tuple_tables(pattern):
+    k = pattern.vertex_count
+    return _mask_tables(pattern, k, automorphism_count(pattern))
+
+
+def test_tuple_tables_match_permutations_on_every_labeled_pattern_k5():
+    for pattern in all_labeled_patterns(5):
+        assert engine_tuple_tables(pattern) == tuple_tables_by_permutations(pattern), pattern
+
+
+@seed(20140523)
+@settings(max_examples=24, deadline=None)
+@given(st.integers(6, 7), st.data())
+def test_tuple_tables_match_permutations_on_sampled_patterns_k6_k7(k, data):
+    pairs = list(combinations(range(k), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    pattern = PatternGraph(k, edges)
+    assert engine_tuple_tables(pattern) == tuple_tables_by_permutations(pattern)
+
+
+SYMMETRIC_8 = {
+    "clique:8": builtin("clique:8"),  # |Aut| = 40320
+    "star:7": builtin("star:7"),  # 5040
+    "cube": cube(),  # 48
+    "square+square": disjoint_union(builtin("square"), builtin("square")),  # 128
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_8))
+def test_tuple_tables_match_permutations_on_symmetric_k8(name):
+    pattern = SYMMETRIC_8[name]
+    assert engine_tuple_tables(pattern) == tuple_tables_by_permutations(pattern)
+
+
+def isomorphism_classes(k):
+    """{representative: labelings} over every labeled pattern on k vertices,
+    as edge bitmasks over the pairs in `combinations` order; a class is
+    represented by its labeling with the smallest bitmask."""
+    pairs = list(combinations(range(k), 2))
+    index = {pair: j for j, pair in enumerate(pairs)}
+    representative = {}
+    for bits in range(1 << len(pairs)):
+        if bits in representative:
+            continue
+        edges = [pair for j, pair in enumerate(pairs) if bits >> j & 1]
+        for perm in permutations(range(k)):
+            image = sum(1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in edges)
+            representative.setdefault(image, bits)
+    classes = defaultdict(list)
+    for bits, rep in representative.items():
+        classes[rep].append(bits)
+    return pairs, classes
+
+
+def test_variance_matches_reference_on_every_labeled_pattern_k5():
+    # one reference run per isomorphism class, then every labeling of the class
+    pairs, classes = isomorphism_classes(5)
+    assert len(classes) == 34 and sum(map(len, classes.values())) == 1024
+
+    def pattern(bits):
+        return PatternGraph(5, [pair for j, pair in enumerate(pairs) if bits >> j & 1])
+
+    for rep, labelings in classes.items():
+        expected = reference_covariance(pattern(rep), pattern(rep))
+        for bits in labelings:
+            assert variance_poly(pattern(bits)).covariance == expected, pattern(bits)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

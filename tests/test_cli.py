@@ -223,6 +223,22 @@ def test_verify_repeated_n_rejected(capsys):
     assert "repeated n values in '3,4,3': 3" in err
 
 
+@pytest.mark.parametrize(
+    "n_list,negative",
+    [("-1", "-1"), ("3,-2", "-2"), ("-4,1,-5", "-4, -5")],
+    ids=["-1", "3,-2", "-4,1,-5"],
+)
+def test_verify_negative_n_rejected(capsys, n_list, negative):
+    err = run_rejected(capsys, "verify", "--builtin", "edge", f"--n={n_list}")
+    assert f"argument --n: n values must be >= 0, got {negative}" in err
+
+
+@pytest.mark.parametrize("cap", ["-1", "-7"])
+def test_verify_negative_oracle_cap_rejected(capsys, cap):
+    err = run_rejected(capsys, "verify", "--builtin", "edge", "--n", "3", "--oracle-cap", cap)
+    assert f"argument --oracle-cap: must be >= 0, got {cap}" in err
+
+
 def test_workers_default_and_help(capsys):
     code, out, _ = run(capsys, "var", "--builtin", "edge")
     assert code == 0 and out.strip() == "1/8 n^2 - 1/8 n"

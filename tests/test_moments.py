@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,6 +182,19 @@ def test_automorphisms_searched_at_most_once_per_pattern_per_call(monkeypatch):
         assert searched == expected
     report = variance_poly(square)
     assert report.aut_a == report.aut_b == 8
+
+
+@pytest.mark.parametrize("name", ["clique:8", "star:7"])
+def test_symmetric_pattern_variance_is_fast(name):
+    # the ordered tuples are enumerated one per automorphism orbit, not all
+    # e * 8! of them (about 0.2 s for these patterns)
+    pattern = builtin(name)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        variance_poly(pattern)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.05
 
 
 def test_import_starts_no_process_machinery():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from motifmoments import PatternGraph, automorphism_count, builtin, relabel
 from motifmoments.symmetry import automorphism_count_bruteforce
 
+from helpers import cube, disjoint_union
+
 KNOWN_ORDERS = {
     "node": 1,
     "edge": 2,
@@ -50,25 +52,15 @@ def test_relabeling_preserves_order(p, data):
     assert automorphism_count(relabel(p, perm)) == automorphism_count(p)
 
 
-def _disjoint_union(p, q):
-    k = p.vertex_count
-    return PatternGraph(k + q.vertex_count, [*p.edges, *((u + k, v + k) for u, v in q.edges)])
-
-
-def _cube():
-    # Q3: vertices are 3-bit words, adjacent when they differ in one bit
-    return PatternGraph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
-
-
 KNOWN_ORDERS_8 = {
     "clique:8": (builtin("clique:8"), 40320),
     "star:7": (builtin("star:7"), 5040),
     "cycle:8": (builtin("cycle:8"), 16),
     "path:8": (builtin("path:8"), 2),
-    "k4+k4": (_disjoint_union(builtin("k4"), builtin("k4")), 1152),
+    "k4+k4": (disjoint_union(builtin("k4"), builtin("k4")), 1152),
     "k4,4": (PatternGraph(8, [(u, v) for u in range(4) for v in range(4, 8)]), 1152),
-    "cube": (_cube(), 48),
-    "square+square": (_disjoint_union(builtin("square"), builtin("square")), 128),
+    "cube": (cube(), 48),
+    "square+square": (disjoint_union(builtin("square"), builtin("square")), 128),
     "empty:8": (PatternGraph(8), 40320),
 }
 
