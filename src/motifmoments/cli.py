@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .algebra import (
     RationalPolynomial,
@@ -122,7 +121,8 @@ def _load_pattern(args: argparse.Namespace, secondary: bool = False) -> PatternG
     if builtin_name:
         return builtin(builtin_name)
     if file_path:
-        return parse_pattern_text(Path(file_path).read_text(encoding="utf-8"))
+        with open(file_path, encoding="utf-8") as handle:
+            return parse_pattern_text(handle.read())
     return parse_pattern_text(sys.stdin.read())
 
 

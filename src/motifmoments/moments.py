@@ -6,16 +6,16 @@ probability 1/2.  For patterns A and B this module produces exact polynomials
 in n for the expected count, for the expectation of the product of the two
 counts, and for their covariance (the variance when A = B).
 
-The covariance is the overlap sum (Janson, Luczak and Rucinski, *Random
-Graphs*, 2000, ch. 3).  Two placed copies that share i vertices and c edges
-contribute 2^-(eA+eB) (2^c - 1) to it, and nothing when c = 0, so only
-overlaps of i >= 2 vertices count.  Matching an i-subset S of A's vertices,
-taken in increasing order, with an ordered i-tuple t of B's vertices fixes
-such an overlap; the remaining vertices of both copies can be placed in
+The second moment is a sum over pairs of placed copies, sorted by the
+overlap (Janson, Luczak and Rucinski, *Random Graphs*, 2000, ch. 3).  Two
+copies that share i vertices and c edges have all their edges present with
+probability 2^-(eA+eB-c).  Matching an i-subset S of A's vertices, taken in
+increasing order, with an ordered i-tuple t of B's vertices fixes such an
+overlap; the remaining vertices of both copies can be placed in
 (n)_{kA+kB-i} ways.  Hence
 
-    Cov = 2^-(eA+eB) / (|Aut A| |Aut B|)
-          * sum_{i>=2} (n)_{kA+kB-i} * sum_{S,t} (2^popcount(mask_A(S) & mask_B(t)) - 1)
+    E[X_A X_B] = 2^-(eA+eB) / (|Aut A| |Aut B|)
+                 * sum_{i>=0} (n)_{kA+kB-i} * sum_{S,t} 2^popcount(mask_A(S) & mask_B(t))
 
 where a mask is the induced edge set on the i slots.  The masks of every
 subset (of one pattern) and every ordered tuple (of the other) are built in
@@ -24,7 +24,7 @@ loop runs over distinct masks only.  Tuples in one orbit of the automorphism
 group share their mask, so the tuple pass visits one representative per
 orbit, about e * k! / |Aut| of them and at most e * k!, and counts each by
 its orbit size.  All arithmetic is exact integer counting until one rational
-scale at the end.
+scale at the end.  `covariance_poly` subtracts the product of the means.
 """
 
 from __future__ import annotations
@@ -42,9 +42,11 @@ from .symmetry import _adjacency, _orbits, automorphism_count
 class MomentReport:
     """Mean, second-moment and covariance polynomials for a pattern pair.
 
-    covariance = second_moment - mean_a * mean_b holds coefficient for
-    coefficient by construction.  When pattern_a equals pattern_b the
-    covariance is the variance of the count.
+    second_moment is the overlap sum
+    2^-(eA+eB) / (|Aut A| |Aut B|) * sum_{i>=0} (n)_{kA+kB-i} * sum_{S,t} 2^c
+    (see the module docstring), and covariance_poly forms
+    covariance = second_moment - mean_a * mean_b from it.  When pattern_a
+    equals pattern_b the covariance is the variance of the count.
     """
 
     pattern_a: PatternGraph
@@ -135,50 +137,32 @@ def _overlap_sums(
     pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
 ) -> list[int]:
     """sums[i] = sum over i-subsets S of A and ordered i-tuples t of B of
-    2^popcount(mask_A(S) & mask_B(t)) - 1.
+    2^popcount(mask_A(S) & mask_B(t)).
 
-    The sum is symmetric in which pattern supplies the subsets, so the one
-    with fewer vertices supplies the (more numerous) ordered tuples.
+    sums[0] = 1 counts the empty overlap.  The sum is symmetric in which
+    pattern supplies the subsets, so the one with fewer vertices supplies the
+    (more numerous) ordered tuples.
     """
     if pattern_b.vertex_count > pattern_a.vertex_count:
         pattern_a, pattern_b, aut_a, aut_b = pattern_b, pattern_a, aut_b, aut_a
     depth = pattern_b.vertex_count
     subsets = _mask_tables(pattern_a, depth)
     tuples = _mask_tables(pattern_b, depth, aut_b)
-    weights = [(1 << c) - 1 for c in range(depth * (depth - 1) // 2 + 1)]
-    sums = [0] * (depth + 1)
-    for i in range(2, depth + 1):
-        items_b = [(mask, count) for mask, count in tuples[i].items() if mask]
-        total = 0
-        for mask_a, count_a in subsets[i].items():
-            if mask_a:
-                total += count_a * sum(
-                    count_b * weights[(mask_a & mask_b).bit_count()]
-                    for mask_b, count_b in items_b
-                )
-        sums[i] = total
+    sums = [1] + [0] * depth
+    for i in range(1, depth + 1):
+        items_b = tuples[i].items()
+        sums[i] = sum(
+            count_a * sum(count_b << (mask_a & mask_b).bit_count() for mask_b, count_b in items_b)
+            for mask_a, count_a in subsets[i].items()
+        )
     return sums
-
-
-def _covariance(
-    pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
-) -> RationalPolynomial:
-    # sum_i overlap_i * (n)_{k-i} in integer coefficients, then one division
-    k = pattern_a.vertex_count + pattern_b.vertex_count
-    total = [0] * (k + 1)
-    for i, overlap in enumerate(_overlap_sums(pattern_a, pattern_b, aut_a, aut_b)):
-        if overlap:
-            for power, coeff in enumerate(falling_factorial_poly(k - i).coeffs):
-                total[power] += overlap * coeff.numerator
-    scale = aut_a * aut_b * 2 ** (pattern_a.edge_count + pattern_b.edge_count)
-    return RationalPolynomial(Fraction(c, scale) for c in total)
 
 
 def second_moment_poly(
     pattern_a: PatternGraph, pattern_b: PatternGraph, workers: int = 1
 ) -> RationalPolynomial:
-    """Exact polynomial for E[count_A * count_B]: the covariance plus the
-    product of the means.
+    """Exact polynomial for E[count_A * count_B], summed over every overlap
+    of two placed copies, the empty overlap included.
 
     `workers` must be >= 1 and has no other effect: the engine runs in this
     process.
@@ -188,9 +172,14 @@ def second_moment_poly(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     aut_a, aut_b = _aut_counts(pattern_a, pattern_b)
-    return _covariance(pattern_a, pattern_b, aut_a, aut_b) + _mean(
-        pattern_a, aut_a
-    ) * _mean(pattern_b, aut_b)
+    # sum_i overlap_i * (n)_{k-i} in integer coefficients, then one division
+    k = pattern_a.vertex_count + pattern_b.vertex_count
+    total = [0] * (k + 1)
+    for i, overlap in enumerate(_overlap_sums(pattern_a, pattern_b, aut_a, aut_b)):
+        for power, coeff in enumerate(falling_factorial_poly(k - i).coeffs):
+            total[power] += overlap * coeff.numerator
+    scale = aut_a * aut_b * 2 ** (pattern_a.edge_count + pattern_b.edge_count)
+    return RationalPolynomial(Fraction(c, scale) for c in total)
 
 
 def covariance_poly(

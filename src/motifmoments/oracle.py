@@ -167,8 +167,8 @@ def count_subgraphs(graph: LabeledGraph, pattern: PatternGraph) -> int:
     return copies
 
 
-def _check_enumeration_size(n: int, node_cap: int) -> None:
-    """Reject enumerations past the cap; warn when the raised cap is used."""
+def _check_node_cap(n: int, node_cap: int) -> None:
+    """Reject enumerations past the cap."""
     if n < 0:
         raise ValueError("node count must be >= 0")
     if node_cap > MAX_NODE_CAP:
@@ -176,13 +176,19 @@ def _check_enumeration_size(n: int, node_cap: int) -> None:
             f"node cap {node_cap} is not supported: even {MAX_NODE_CAP + 1} nodes "
             f"would mean 2**{(MAX_NODE_CAP + 1) * MAX_NODE_CAP // 2} graphs"
         )
-    pair_count = n * (n - 1) // 2
     if n > node_cap:
+        pair_count = n * (n - 1) // 2
         raise ValueError(
             f"n={n} exceeds the exhaustive-enumeration cap of {node_cap} nodes: "
             f"it would require iterating 2**{pair_count} = {2**pair_count} labeled graphs"
         )
+
+
+def _check_enumeration_size(n: int, node_cap: int) -> None:
+    """Reject enumerations past the cap; warn when the raised cap is used."""
+    _check_node_cap(n, node_cap)
     if n > DEFAULT_NODE_CAP:
+        pair_count = n * (n - 1) // 2
         warnings.warn(
             f"enumerating 2**{pair_count} = {2**pair_count} labeled graphs on "
             f"{n} nodes; this can take minutes",
@@ -244,7 +250,13 @@ def verify(
     workers: int = 1,
 ) -> VerificationReport:
     """Compare the engine's mean/covariance polynomials, evaluated at each n,
-    against exhaustive enumeration.  Matches are exact or not at all."""
+    against exhaustive enumeration.  Matches are exact or not at all.
+
+    Every n is checked against the node cap before the engine or the oracle
+    runs."""
+    n_values = list(n_values)
+    for n in n_values:
+        _check_node_cap(n, node_cap)
     report = covariance_poly(pattern_a, pattern_b, workers=workers)
     same = pattern_a == pattern_b
     checks: list[VerificationCheck] = []

@@ -6,13 +6,11 @@ listed: by orbit-stabiliser along the chain of point stabilisers.  Orbits
 come from one backtracking search (degree pruning) that asks whether a
 partial map extends to an automorphism and stops at the first one it finds;
 the moment engine uses the same orbits to enumerate vertex tuples modulo the
-group.  A brute-force filter over all k! permutations is kept alongside as
-an independent cross-check.
+group.  The tests cross-check the count against a brute-force filter over
+all k! permutations.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from .pattern import PatternGraph
 
@@ -94,15 +92,3 @@ def automorphism_count(pattern: PatternGraph) -> int:
         order *= 1 + sum(_extends(adjacent, fixed, v, w) for w in range(v + 1, k))
     return order
 
-
-def automorphism_count_bruteforce(pattern: PatternGraph) -> int:
-    """Count by filtering all k! permutations; cross-validates the search."""
-    k = pattern.vertex_count
-    edges = pattern.edges
-    count = 0
-    for perm in permutations(range(k)):
-        if all(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges
-        ):
-            count += 1
-    return count

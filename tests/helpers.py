@@ -11,6 +11,7 @@ repeated-multiplication implementation.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 from motifmoments import PatternGraph, RationalPolynomial
 
@@ -136,3 +137,16 @@ def disjoint_union(p: PatternGraph, q: PatternGraph) -> PatternGraph:
 def cube() -> PatternGraph:
     """Q3: vertices are 3-bit words, adjacent when they differ in one bit."""
     return PatternGraph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
+
+
+def automorphism_count_bruteforce(pattern: PatternGraph) -> int:
+    """Count by filtering all k! permutations; cross-validates the search."""
+    k = pattern.vertex_count
+    edges = pattern.edges
+    count = 0
+    for perm in permutations(range(k)):
+        if all(
+            (min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges
+        ):
+            count += 1
+    return count

@@ -170,6 +170,19 @@ def test_verify_cap_exceeded(capsys):
     assert "2**36 = 68719476736" in err
 
 
+def test_verify_cap_checked_before_any_work(capsys, monkeypatch):
+    import motifmoments.oracle as oracle_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran the engine or the oracle before the cap check")
+
+    monkeypatch.setattr(oracle_module, "covariance_poly", refuse)
+    monkeypatch.setattr(oracle_module, "exact_moments", refuse)
+    code, out, err = run(capsys, "verify", "--builtin", "triangle", "--n", "0,1,2,3,4,5,6,7")
+    assert code == 2 and out == ""
+    assert "n=7 exceeds the exhaustive-enumeration cap of 6 nodes" in err
+
+
 def test_verify_mismatch_exits_one(capsys, monkeypatch):
     import motifmoments.cli as cli_module
     from motifmoments.oracle import VerificationCheck, VerificationReport

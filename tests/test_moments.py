@@ -92,9 +92,16 @@ def test_covariance_edge_triangle_golden():
 
 
 def test_covariance_with_node_is_zero():
-    for name in BUILTIN_NAMES:
-        report = covariance_poly(builtin("node"), builtin(name))
-        assert report.covariance.coeffs == ()
+    # An edgeless pattern's count is deterministic, so its covariance with any
+    # count is 0: the second moment is the empty and one-vertex overlaps alone.
+    others = BUILTIN_NAMES + ("path:8", "cycle:8", "star:7", "clique:8")
+    for k in range(1, 5):
+        edgeless = PatternGraph(k)
+        for name in others:
+            for a, b in ((edgeless, builtin(name)), (builtin(name), edgeless)):
+                report = covariance_poly(a, b)
+                assert report.covariance.coeffs == (), (k, name)
+                assert report.second_moment == report.mean_a * report.mean_b, (k, name)
 
 
 def test_report_identity_and_metadata():

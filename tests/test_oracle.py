@@ -1,11 +1,13 @@
 """Exhaustive-enumeration oracle: counting, moments, engine certification."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motifmoments.oracle as oracle_module
 from motifmoments import (
     LabeledGraph,
     PatternGraph,
@@ -156,6 +158,39 @@ def test_verify_triangle():
     quantities = {check.quantity for check in report.checks}
     assert quantities == {"mean", "variance"}
     assert len(report.checks) == 6
+
+
+def count_calls(monkeypatch, module, *names):
+    """Wrap module functions so each call is tallied in the returned dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("node_cap,n_values", [(6, [0, 1, 7]), (7, [7, 3, 8])])
+def test_verify_checks_every_n_before_any_work(monkeypatch, node_cap, n_values):
+    calls = count_calls(monkeypatch, oracle_module, "covariance_poly", "exact_moments")
+    triangle = builtin("triangle")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the n > 6 warning must not fire either
+        with pytest.raises(ValueError, match=f"cap of {node_cap}"):
+            verify(triangle, triangle, n_values, node_cap=node_cap)
+    assert calls == {"covariance_poly": 0, "exact_moments": 0}
+
+
+def test_verify_accepts_a_generator(monkeypatch):
+    calls = count_calls(monkeypatch, oracle_module, "covariance_poly", "exact_moments")
+    report = verify(builtin("triangle"), builtin("triangle"), (n for n in (3, 4, 5)))
+    assert report.all_match
+    assert [check.n for check in report.checks] == [3, 3, 4, 4, 5, 5]
+    assert calls == {"covariance_poly": 1, "exact_moments": 3}
 
 
 def test_verify_node_all_zero_covariance():

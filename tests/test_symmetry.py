@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifmoments import PatternGraph, automorphism_count, builtin, relabel
-from motifmoments.symmetry import automorphism_count_bruteforce
-
-from helpers import cube, disjoint_union
+from helpers import automorphism_count_bruteforce, cube, disjoint_union
 
 KNOWN_ORDERS = {
     "node": 1,
