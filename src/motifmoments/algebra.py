@@ -17,12 +17,11 @@ scientific notation (``2.0833e16``) once the rounded magnitude reaches 10**6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
 
-Coefficient = Union[int, Fraction]
+Coefficient = int | Fraction
 
 # Exponent at which decimal rendering switches to scientific notation.
 _SCIENTIFIC_EXPONENT = 6
@@ -51,8 +50,63 @@ def rat_div(a: Coefficient, b: Coefficient) -> Fraction:
     return Fraction(a) / b
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class _Record:
+    """Immutable record whose fields are the annotated names of its class body.
+
+    It behaves as a frozen dataclass would, without importing `dataclasses`
+    (and with it `inspect`) at start-up: construction by position or keyword,
+    ``==`` only between instances of the same class, hash and repr over the
+    fields in declaration order, and AttributeError on any assignment or
+    deletion.  A subclass with a validating ``__init__`` stores its fields
+    with ``object.__setattr__``.  Pickling and copying restore the instance
+    dictionary directly, so they need no support here.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        given = dict(zip(names, args))
+        if (
+            len(args) > len(names)
+            or given.keys() & kwargs.keys()
+            or given.keys() | kwargs.keys() != set(names)
+        ):
+            raise TypeError(
+                f"{type(self).__name__}() takes each of {', '.join(names)} exactly "
+                f"once, by position or keyword"
+            )
+        given.update(kwargs)
+        for name in names:
+            object.__setattr__(self, name, given[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RationalPolynomial(_Record):
     """Polynomial in n with exact rational coefficients, stored densely.
 
     ``coeffs[i]`` is the coefficient of n**i.  Trailing zero coefficients are

@@ -41,6 +41,10 @@ from .pattern import (
     parse_edge_list,
 )
 
+# Largest --digits: the significand is built as an integer with D digits, and
+# Python refuses to print integers of more than 4300 digits.
+MAX_DIGITS = 1000
+
 
 def format_human(poly: RationalPolynomial) -> str:
     """Render terms highest degree first: ``1/8 n^4 - 19/32 n^3 + ... - 7/16 n``."""
@@ -126,16 +130,29 @@ def _load_pattern(args: argparse.Namespace, secondary: bool = False) -> PatternG
     return parse_pattern_text(sys.stdin.read())
 
 
-def _print_eval(label: str, value: Fraction, n: int, digits: int) -> None:
-    print(f"{label} at n={n}: {value} ≈ {format_rational_decimal(value, digits)}")
+def _eval_lines(n: int, digits: int, values: list[tuple[str, Fraction]]) -> list[str]:
+    """One line per (label, value): the exact value at n and its decimal rounding.
+
+    A value with more digits than Python converts to a string is an error on
+    --eval; the commands build every line before printing any, so nothing is
+    printed then."""
+    try:
+        return [
+            f"{label} at n={n}: {value} ≈ {format_rational_decimal(value, digits)}"
+            for label, value in values
+        ]
+    except ValueError as exc:
+        raise ValueError(f"--eval: the exact value is too long to print ({exc})") from None
 
 
 def cmd_mean(args: argparse.Namespace) -> int:
     pattern = _load_pattern(args)
     poly = mean_poly(pattern)
-    print(render_poly(poly, args.format))
+    lines = [render_poly(poly, args.format)]
     if args.eval is not None:
-        _print_eval("mean", poly_eval_exact(poly, args.eval), args.eval, args.digits)
+        value = poly_eval_exact(poly, args.eval)
+        lines += _eval_lines(args.eval, args.digits, [("mean", value)])
+    print("\n".join(lines))
     return 0
 
 
@@ -144,20 +161,19 @@ def cmd_var(args: argparse.Namespace) -> int:
         raise ValueError("--stddev requires --eval N")
     pattern = _load_pattern(args)
     report = variance_poly(pattern, workers=args.workers)
-    print(render_poly(report.covariance, args.format))
-    if args.eval is None:
-        return 0
-    n, digits = args.eval, args.digits
-    mean_value = poly_eval_exact(report.mean_a, n)
-    variance_value = poly_eval_exact(report.covariance, n)
-    _print_eval("mean", mean_value, n, digits)
-    _print_eval("variance", variance_value, n, digits)
-    if args.stddev:
-        if variance_value < 0:
-            raise RuntimeError(
-                f"internal error: variance evaluated negative ({variance_value}) at n={n}"
-            )
-        print(f"stddev at n={n}: {sqrt_decimal(variance_value, digits)}")
+    lines = [render_poly(report.covariance, args.format)]
+    if args.eval is not None:
+        n, digits = args.eval, args.digits
+        variance_value = poly_eval_exact(report.covariance, n)
+        values = [("mean", poly_eval_exact(report.mean_a, n)), ("variance", variance_value)]
+        lines += _eval_lines(n, digits, values)
+        if args.stddev:
+            if variance_value < 0:
+                raise RuntimeError(
+                    f"internal error: variance evaluated negative ({variance_value}) at n={n}"
+                )
+            lines.append(f"stddev at n={n}: {sqrt_decimal(variance_value, digits)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -165,14 +181,11 @@ def cmd_cov(args: argparse.Namespace) -> int:
     pattern_a = _load_pattern(args)
     pattern_b = _load_pattern(args, secondary=True) or pattern_a
     report = covariance_poly(pattern_a, pattern_b, workers=args.workers)
-    print(render_poly(report.covariance, args.format))
+    lines = [render_poly(report.covariance, args.format)]
     if args.eval is not None:
-        _print_eval(
-            "covariance",
-            poly_eval_exact(report.covariance, args.eval),
-            args.eval,
-            args.digits,
-        )
+        value = poly_eval_exact(report.covariance, args.eval)
+        lines += _eval_lines(args.eval, args.digits, [("covariance", value)])
+    print("\n".join(lines))
     return 0
 
 
@@ -212,8 +225,8 @@ def cmd_builtins(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer >= minimum."""
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """argparse type: an integer >= minimum and, if given, <= maximum."""
 
     def parse(text: str) -> int:
         try:
@@ -222,6 +235,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -274,10 +289,10 @@ def _add_render_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--digits",
-        type=_int_at_least(1),
+        type=_int_at_least(1, MAX_DIGITS),
         default=5,
         metavar="D",
-        help="significant digits for decimal output, D >= 1 (default: 5)",
+        help=f"significant digits for decimal output, 1 <= D <= {MAX_DIGITS} (default: 5)",
     )
 
 

@@ -30,16 +30,14 @@ scale at the end.  `covariance_poly` subtracts the product of the means.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RationalPolynomial, falling_factorial_poly
+from .algebra import RationalPolynomial, _Record, falling_factorial_poly
 from .pattern import PatternGraph, _check_size
 from .symmetry import _adjacency, _orbits, automorphism_count
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(_Record):
     """Mean, second-moment and covariance polynomials for a pattern pair.
 
     second_moment is the overlap sum

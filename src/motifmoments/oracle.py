@@ -12,11 +12,10 @@ evidence that both are right.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .algebra import poly_eval_exact
+from .algebra import _Record, poly_eval_exact
 from .moments import covariance_poly
 from .pattern import PatternGraph
 from .symmetry import automorphism_count
@@ -34,8 +33,7 @@ def pair_index(u: int, v: int, node_count: int) -> int:
     return u * node_count - u * (u + 1) // 2 + (v - u - 1)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(_Record):
     """Graph on nodes 0..n-1 encoded as a bit vector over the C(n, 2) pairs.
 
     Bit order is fixed: pair (u, v) with u < v sits at pair_index(u, v, n),
@@ -69,8 +67,7 @@ class LabeledGraph:
         return rows
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Record):
     """Exact moments at one fixed n, straight from exhaustive enumeration."""
 
     n: int
@@ -80,8 +77,7 @@ class OracleResult:
     covariance: Fraction
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
+class VerificationCheck(_Record):
     """One engine-vs-oracle comparison: a quantity at a fixed n."""
 
     n: int
@@ -94,8 +90,7 @@ class VerificationCheck:
         return self.engine_value == self.oracle_value
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     pattern_a: PatternGraph
     pattern_b: PatternGraph
     checks: tuple[VerificationCheck, ...]

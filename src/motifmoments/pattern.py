@@ -23,8 +23,9 @@ by about k (the variance of an 8-vertex pattern with |Aut| = 1 takes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+
+from .algebra import _Record
 
 DEFAULT_MAX_VERTICES = 8
 
@@ -38,8 +39,7 @@ _FIXED_BUILTINS = {
 }
 
 
-@dataclass(frozen=True)
-class PatternGraph:
+class PatternGraph(_Record):
     """Undirected simple graph on vertices 0..k-1; immutable once built.
 
     Edges are stored as (u, v) tuples with u < v, so {u, v} and {v, u} are

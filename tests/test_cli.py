@@ -218,11 +218,39 @@ def test_negative_eval_rejected(capsys, command):
         ("var", "--builtin", "triangle", "--digits", "0", "--eval", "10"),
         ("mean", "--builtin", "triangle", "--digits", "-3"),
         ("cov", "--builtin", "edge", "--digits", "0"),
+        ("var", "--builtin", "triangle", "--eval", "1000", "--digits", "5000"),
+        ("mean", "--builtin", "triangle", "--eval", "10", "--digits", "100000000"),
+        ("cov", "--builtin", "edge", "--digits", "1001"),
     ],
 )
-def test_digits_below_one_rejected(capsys, argv):
+def test_digits_out_of_range_rejected(capsys, argv):
     err = run_rejected(capsys, *argv)
-    assert f"argument --digits: must be >= 1, got {argv[argv.index('--digits') + 1]}" in err
+    digits = argv[argv.index("--digits") + 1]
+    bound = ">= 1" if int(digits) < 1 else "<= 1000"
+    assert f"argument --digits: must be {bound}, got {digits}" in err
+
+
+def test_digits_at_the_limit(capsys):
+    code, out, err = run(
+        capsys, "mean", "--builtin", "triangle", "--eval", "10", "--digits", "1000"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "mean at n=10: 15 ≈ 15." + "0" * 998
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mean", "--builtin", "k4"),
+        ("var", "--builtin", "triangle", "--stddev"),
+        ("cov", "--builtin", "k4", "--builtin2", "k4"),
+    ],
+    ids=["mean", "var", "cov"],
+)
+def test_value_too_long_to_print_prints_nothing(capsys, argv):
+    code, out, err = run(capsys, *argv, "--eval", str(10**1100))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --eval: the exact value is too long to print")
 
 
 def test_oversized_builtin_exits_2(capsys):

@@ -205,15 +205,18 @@ def test_symmetric_pattern_variance_is_fast(name):
 
 
 def test_import_starts_no_process_machinery():
+    """Importing the package and its CLI loads no process pool and none of the
+    heavier standard modules it used to.  The child runs with -S, because a
+    site .pth file may preload any of them."""
     code = (
         "import sys, motifmoments, motifmoments.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing', 'dataclasses', 'inspect', 'typing')))"
     )
     src = str(Path(motifmoments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "[]"
 
