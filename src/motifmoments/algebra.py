@@ -12,6 +12,9 @@ takes the floor of the scaled value (or of its square root) in integers,
 rounds half-even by comparing with the exact midpoint, and carries a
 significand of 10**digits into the next exponent.  Rendering switches to
 scientific notation (``2.0833e16``) once the rounded magnitude reaches 10**6.
+
+This module, the first the package imports, also holds `_Record`, the
+immutable-record base of the package's value types.
 """
 
 from __future__ import annotations
