@@ -27,11 +27,9 @@ from .moments import (
 )
 from .oracle import (
     DEFAULT_NODE_CAP,
-    LabeledGraph,
     OracleResult,
     VerificationCheck,
     VerificationReport,
-    count_subgraphs,
     exact_moments,
     verify,
 )
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_MAX_VERTICES",
     "DEFAULT_NODE_CAP",
-    "LabeledGraph",
     "MomentReport",
     "OracleResult",
     "PatternGraph",
@@ -61,7 +58,6 @@ __all__ = [
     "automorphism_count",
     "builtin",
     "builtin_names",
-    "count_subgraphs",
     "covariance_poly",
     "exact_moments",
     "falling_factorial_poly",

@@ -237,8 +237,9 @@ def _decimal_root(value: Coefficient, root: int, digits: int) -> str:
         return "0"
     sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
-    # exponent with 10**exponent <= value**(1/root) < 10**(exponent + 1)
-    exponent = (len(str(num)) - len(str(den))) // root
+    # exponent with 10**exponent <= value**(1/root) < 10**(exponent + 1),
+    # estimated from the bit lengths (log10(2) ~ 30103/100000) and corrected
+    exponent = (num.bit_length() - den.bit_length()) * 30103 // 100000 // root
     while not _pow10_at_most(num, den, root * exponent):
         exponent -= 1
     while _pow10_at_most(num, den, root * (exponent + 1)):

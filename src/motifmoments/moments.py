@@ -156,19 +156,11 @@ def _overlap_sums(
     return sums
 
 
-def second_moment_poly(
-    pattern_a: PatternGraph, pattern_b: PatternGraph, workers: int = 1
-) -> RationalPolynomial:
+def second_moment_poly(pattern_a: PatternGraph, pattern_b: PatternGraph) -> RationalPolynomial:
     """Exact polynomial for E[count_A * count_B], summed over every overlap
-    of two placed copies, the empty overlap included.
-
-    `workers` must be >= 1 and has no other effect: the engine runs in this
-    process.
-    """
+    of two placed copies, the empty overlap included."""
     _check_size(pattern_a.vertex_count)
     _check_size(pattern_b.vertex_count)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     aut_a, aut_b = _aut_counts(pattern_a, pattern_b)
     # sum_i overlap_i * (n)_{k-i} in integer coefficients, then one division
     k = pattern_a.vertex_count + pattern_b.vertex_count
@@ -188,7 +180,9 @@ def covariance_poly(
     `workers` must be >= 1 and has no other effect; the output is the same
     for every value.
     """
-    second = second_moment_poly(pattern_a, pattern_b, workers=workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    second = second_moment_poly(pattern_a, pattern_b)
     aut_a, aut_b = _aut_counts(pattern_a, pattern_b)
     mean_a, mean_b = _mean(pattern_a, aut_a), _mean(pattern_b, aut_b)
     return MomentReport(

@@ -26,47 +26,6 @@ DEFAULT_NODE_CAP = 6
 MAX_NODE_CAP = 7
 
 
-def pair_index(u: int, v: int, node_count: int) -> int:
-    """Bit position of node pair (u, v), u < v, in row-major upper-triangle order."""
-    if u > v:
-        u, v = v, u
-    return u * node_count - u * (u + 1) // 2 + (v - u - 1)
-
-
-class LabeledGraph(_Record):
-    """Graph on nodes 0..n-1 encoded as a bit vector over the C(n, 2) pairs.
-
-    Bit order is fixed: pair (u, v) with u < v sits at pair_index(u, v, n),
-    i.e. u*n - u*(u+1)/2 + (v-u-1).
-    """
-
-    node_count: int
-    edge_mask: int
-
-    @classmethod
-    def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]]) -> LabeledGraph:
-        mask = 0
-        for u, v in edges:
-            mask |= 1 << pair_index(u, v, node_count)
-        return cls(node_count, mask)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.edge_mask >> pair_index(u, v, self.node_count) & 1)
-
-    def adjacency_rows(self) -> list[int]:
-        """Per-node neighbor bitmasks."""
-        n = self.node_count
-        rows = [0] * n
-        bit = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if self.edge_mask >> bit & 1:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                bit += 1
-        return rows
-
-
 class OracleResult(_Record):
     """Exact moments at one fixed n, straight from exhaustive enumeration."""
 
@@ -138,30 +97,6 @@ def _ordered_embedding_count(
     return count
 
 
-def count_subgraphs(graph: LabeledGraph, pattern: PatternGraph) -> int:
-    """Copies of the pattern in the graph, non-induced (extra edges among the
-    image nodes are fine).
-
-    Counts injective maps and divides by the automorphism count; the division
-    is exact by construction, so a remainder means a bug and halts.
-    """
-    if pattern.vertex_count > graph.node_count:
-        return 0
-    ordered = _ordered_embedding_count(
-        graph.adjacency_rows(),
-        graph.node_count,
-        pattern.vertex_count,
-        _edge_prefix_lists(pattern),
-    )
-    copies, remainder = divmod(ordered, automorphism_count(pattern))
-    if remainder:
-        raise RuntimeError(
-            f"internal error: {ordered} ordered embeddings is not a multiple of "
-            f"the automorphism count {automorphism_count(pattern)}"
-        )
-    return copies
-
-
 def _check_node_cap(n: int, node_cap: int) -> None:
     """Reject enumerations past the cap."""
     if n < 0:
@@ -173,9 +108,12 @@ def _check_node_cap(n: int, node_cap: int) -> None:
         )
     if n > node_cap:
         pair_count = n * (n - 1) // 2
+        # 2**pair_count has about 0.15 * n**2 digits (a 2**(5 * 10**11) integer
+        # at n = 10**6), so it is written out only while it is short
+        graphs = f"2**{pair_count}" + (f" = {2**pair_count}" if pair_count <= 64 else "")
         raise ValueError(
             f"n={n} exceeds the exhaustive-enumeration cap of {node_cap} nodes: "
-            f"it would require iterating 2**{pair_count} = {2**pair_count} labeled graphs"
+            f"it would require iterating {graphs} labeled graphs"
         )
 
 

@@ -1,5 +1,5 @@
 """Shared test fixtures: frozen golden coefficients, independent oracles,
-pattern writers and a few named 8-vertex patterns.
+pattern writers, a subgraph counter and a few named 8-vertex patterns.
 
 The golden coefficient tables below are frozen reference values for the six
 builtin patterns (ascending degree order, entry i = coefficient of n**i).
@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from motifmoments import PatternGraph, RationalPolynomial
+from motifmoments import PatternGraph, RationalPolynomial, automorphism_count
+from motifmoments.oracle import _edge_prefix_lists, _ordered_embedding_count
 
 F = Fraction
 
@@ -150,3 +151,28 @@ def automorphism_count_bruteforce(pattern: PatternGraph) -> int:
         ):
             count += 1
     return count
+
+
+def mask_edges(node_count: int, mask: int) -> list[tuple[int, int]]:
+    """The node pairs (u, v), u < v, whose bit is set in mask; pair bits run in
+    row-major upper-triangle order."""
+    pairs = [(u, v) for u in range(node_count) for v in range(u + 1, node_count)]
+    return [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
+
+
+def count_subgraphs(node_count: int, edges, pattern: PatternGraph) -> int:
+    """Copies of the pattern in the graph on nodes 0..node_count-1 with these
+    edges, non-induced (extra edges among the image nodes are fine).
+
+    Counts injective maps with the oracle's backtracking and divides by the
+    automorphism count; the division is exact, so a remainder fails."""
+    adjacency = [0] * node_count
+    for u, v in edges:
+        adjacency[u] |= 1 << v
+        adjacency[v] |= 1 << u
+    ordered = _ordered_embedding_count(
+        adjacency, node_count, pattern.vertex_count, _edge_prefix_lists(pattern)
+    )
+    copies, remainder = divmod(ordered, automorphism_count(pattern))
+    assert remainder == 0, f"{ordered} ordered embeddings, |Aut| = {automorphism_count(pattern)}"
+    return copies

@@ -131,6 +131,13 @@ def test_format_rational_decimal_cases():
     assert format_rational_decimal(F(27, 200), 2) == "0.14"
 
 
+def test_values_past_4300_digits_render():
+    # Python refuses str() of an int past 4300 digits; the rendering never needs it
+    assert format_rational_decimal(10**5000, 5) == "1.0000e5000"
+    assert sqrt_decimal(10**9000, 5) == "1.0000e4500"
+    assert format_rational_decimal(F(1, 10**5000), 3) == "0." + "0" * 4999 + "100"
+
+
 def test_format_rational_decimal_rejects_bad_digit_count():
     with pytest.raises(ValueError):
         format_rational_decimal(F(1), 0)

@@ -170,6 +170,17 @@ def test_verify_cap_exceeded(capsys):
     assert "2**36 = 68719476736" in err
 
 
+@pytest.mark.parametrize("n", ["200", "3000"])
+def test_verify_far_past_cap_exits_2(capsys, n):
+    code, out, err = run(capsys, "verify", "--builtin", "edge", "--n", n)
+    assert code == 2 and out == ""
+    pairs = int(n) * (int(n) - 1) // 2
+    assert err == (
+        f"error: n={n} exceeds the exhaustive-enumeration cap of 6 nodes: "
+        f"it would require iterating 2**{pairs} labeled graphs\n"
+    )
+
+
 def test_verify_cap_checked_before_any_work(capsys, monkeypatch):
     import motifmoments.oracle as oracle_module
 

@@ -1,5 +1,6 @@
 """Moment engine: golden polynomials, structural invariants, argument checks."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -160,7 +161,43 @@ def test_workers_below_one_rejected():
         with pytest.raises(ValueError, match="workers must be >= 1"):
             variance_poly(builtin("edge"), workers=workers)
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            second_moment_poly(builtin("edge"), builtin("edge"), workers=workers)
+            covariance_poly(builtin("edge"), builtin("edge"), workers=workers)
+
+
+def test_public_surface():
+    assert sorted(motifmoments.__all__) == [
+        "DEFAULT_MAX_VERTICES",
+        "DEFAULT_NODE_CAP",
+        "MomentReport",
+        "OracleResult",
+        "PatternGraph",
+        "RationalPolynomial",
+        "VerificationCheck",
+        "VerificationReport",
+        "automorphism_count",
+        "builtin",
+        "builtin_names",
+        "covariance_poly",
+        "exact_moments",
+        "falling_factorial_poly",
+        "format_rational_decimal",
+        "mean_poly",
+        "parse_adjacency_matrix",
+        "parse_edge_list",
+        "poly_eval_exact",
+        "rat_add",
+        "rat_div",
+        "rat_mul",
+        "rat_sub",
+        "relabel",
+        "second_moment_poly",
+        "sqrt_decimal",
+        "variance_poly",
+        "verify",
+    ]
+    for name in motifmoments.__all__:
+        assert getattr(motifmoments, name) is not None
+    assert list(inspect.signature(second_moment_poly).parameters) == ["pattern_a", "pattern_b"]
 
 
 def test_automorphisms_searched_at_most_once_per_pattern_per_call(monkeypatch):

@@ -1,5 +1,6 @@
 """Exhaustive-enumeration oracle: counting, moments, engine certification."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -9,10 +10,8 @@ from hypothesis import strategies as st
 
 import motifmoments.oracle as oracle_module
 from motifmoments import (
-    LabeledGraph,
     PatternGraph,
     builtin,
-    count_subgraphs,
     exact_moments,
     relabel,
     verify,
@@ -21,58 +20,38 @@ from motifmoments.oracle import (
     VerificationCheck,
     VerificationReport,
     _check_enumeration_size,
-    pair_index,
 )
+
+from helpers import count_subgraphs, mask_edges
 
 F = Fraction
 
 
 def complete_graph(n):
-    return LabeledGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def test_pair_index_is_row_major_upper_triangle():
-    n = 5
-    expected = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            assert pair_index(u, v, n) == expected
-            assert pair_index(v, u, n) == expected
-            expected += 1
-    assert expected == n * (n - 1) // 2
-
-
-def test_labeled_graph_round_trip():
-    g = LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert g.has_edge(2, 3)
-    assert not g.has_edge(0, 2)
-    rows = g.adjacency_rows()
-    assert rows[0] == 0b0010
-    assert rows[3] == 0b0100
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
 def test_count_subgraphs_examples():
-    assert count_subgraphs(complete_graph(3), builtin("edge")) == 3
-    assert count_subgraphs(complete_graph(4), builtin("triangle")) == 4
-    path3 = LabeledGraph.from_edges(3, [(0, 1), (1, 2)])
-    assert count_subgraphs(path3, builtin("wedge")) == 1
-    assert count_subgraphs(path3, builtin("triangle")) == 0
+    assert count_subgraphs(3, complete_graph(3), builtin("edge")) == 3
+    assert count_subgraphs(4, complete_graph(4), builtin("triangle")) == 4
+    path3 = [(0, 1), (1, 2)]
+    assert count_subgraphs(3, path3, builtin("wedge")) == 1
+    assert count_subgraphs(3, path3, builtin("triangle")) == 0
 
 
 def test_count_subgraphs_non_induced_semantics():
     # the triangle contains 3 wedges even though all image pairs are adjacent
-    assert count_subgraphs(complete_graph(3), builtin("wedge")) == 3
+    assert count_subgraphs(3, complete_graph(3), builtin("wedge")) == 3
 
 
 def test_count_subgraphs_pattern_larger_than_graph():
-    assert count_subgraphs(complete_graph(2), builtin("triangle")) == 0
+    assert count_subgraphs(2, complete_graph(2), builtin("triangle")) == 0
 
 
 def test_count_subgraphs_with_isolated_vertex():
     # edge plus isolated vertex: 3 edges x 1 leftover node in K3
     pattern = PatternGraph(3, [(0, 1)])
-    assert count_subgraphs(complete_graph(3), pattern) == 3
+    assert count_subgraphs(3, complete_graph(3), pattern) == 3
 
 
 graph_masks = st.integers(min_value=0, max_value=2**10 - 1)
@@ -80,37 +59,39 @@ graph_masks = st.integers(min_value=0, max_value=2**10 - 1)
 
 @given(graph_masks)
 def test_edge_count_equals_popcount(mask):
-    g = LabeledGraph(5, mask)
-    assert count_subgraphs(g, builtin("edge")) == mask.bit_count()
+    assert count_subgraphs(5, mask_edges(5, mask), builtin("edge")) == mask.bit_count()
 
 
 @given(graph_masks, st.data())
 def test_count_invariant_under_graph_relabeling(mask, data):
     n = 5
     perm = data.draw(st.permutations(range(n)))
-    g = LabeledGraph(n, mask)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
-    relabeled = LabeledGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    edges = mask_edges(n, mask)
+    relabeled = [(perm[u], perm[v]) for u, v in edges]
     for name in ("edge", "wedge", "triangle"):
-        assert count_subgraphs(g, builtin(name)) == count_subgraphs(
-            relabeled, builtin(name)
+        assert count_subgraphs(n, edges, builtin(name)) == count_subgraphs(
+            n, relabeled, builtin(name)
         )
 
 
 @given(graph_masks, st.data())
 def test_count_invariant_under_pattern_relabeling(mask, data):
-    g = LabeledGraph(5, mask)
+    edges = mask_edges(5, mask)
     pattern = builtin("wedge")
     perm = data.draw(st.permutations(range(3)))
-    assert count_subgraphs(g, relabel(pattern, perm)) == count_subgraphs(g, pattern)
+    assert count_subgraphs(5, edges, relabel(pattern, perm)) == count_subgraphs(
+        5, edges, pattern
+    )
 
 
 @given(graph_masks, st.integers(min_value=0, max_value=9))
 def test_adding_an_edge_never_decreases_counts(mask, extra_bit):
-    g = LabeledGraph(5, mask)
-    bigger = LabeledGraph(5, mask | (1 << extra_bit))
+    edges = mask_edges(5, mask)
+    bigger = mask_edges(5, mask | (1 << extra_bit))
     for name in ("edge", "wedge", "triangle", "square"):
-        assert count_subgraphs(bigger, builtin(name)) >= count_subgraphs(g, builtin(name))
+        assert count_subgraphs(5, bigger, builtin(name)) >= count_subgraphs(
+            5, edges, builtin(name)
+        )
 
 
 def test_exact_moments_triangle_n3():
@@ -150,6 +131,19 @@ def test_enumeration_caps():
     with pytest.raises(ValueError, match=">= 0"):
         _check_enumeration_size(-1, node_cap=6)
     _check_enumeration_size(6, node_cap=6)  # at the cap: no error, no warning
+
+
+@pytest.mark.parametrize("n", [200, 3000])
+def test_cap_message_names_the_graph_count_unexpanded(n):
+    # 2**19900 and 2**4498500 have more digits than Python's int-to-str limit of 4300
+    message = re.escape(
+        f"n={n} exceeds the exhaustive-enumeration cap of 6 nodes: "
+        f"it would require iterating 2**{n * (n - 1) // 2} labeled graphs"
+    )
+    with pytest.raises(ValueError, match=message):
+        exact_moments(builtin("edge"), builtin("edge"), n)
+    with pytest.raises(ValueError, match=message):
+        verify(builtin("edge"), builtin("edge"), [3, n])
 
 
 def test_verify_triangle():

@@ -1,4 +1,4 @@
-"""The seven immutable records: equality, hashing, repr, immutability,
+"""The six immutable records: equality, hashing, repr, immutability,
 construction, pickling and deep copy."""
 
 import copy
@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from motifmoments import (
-    LabeledGraph,
     MomentReport,
     OracleResult,
     PatternGraph,
@@ -51,13 +50,6 @@ RECORDS = [
         "mean_b=RationalPolynomial(coeffs=()), "
         "second_moment=RationalPolynomial(coeffs=(Fraction(1, 1),)), "
         "covariance=RationalPolynomial(coeffs=()), aut_a=1, aut_b=2)",
-        True,
-    ),
-    (
-        LabeledGraph,
-        ("node_count", "edge_mask"),
-        (3, 5),
-        "LabeledGraph(node_count=3, edge_mask=5)",
         True,
     ),
     (
