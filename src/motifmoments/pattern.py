@@ -13,12 +13,16 @@ edge list
     ``u v`` with 0 <= u, v < k.  Duplicate edges collapse.
 
 Pattern size is capped at `DEFAULT_MAX_VERTICES` vertices, by the parsers,
-the builtins and the moment engine alike: the engine's overlap sum visits
-one representative per automorphism orbit of the ordered tuples of distinct
-vertices of one pattern, about e * k! / |Aut| of them and at most e * k!,
-so for a pattern with little symmetry each added vertex multiplies the cost
-by about k (the variance of an 8-vertex pattern with |Aut| = 1 takes
-0.2-0.3 s on a 2-vCPU Intel Xeon).
+the builtins and the moment engine alike.  The engine's overlap sum takes
+the cheaper of two orders: one representative per automorphism orbit of the
+ordered tuples of distinct vertices of one pattern, about e * k! / |Aut| of
+them and at most e * k!, or the 2^e edge subsets of the sparser pattern.
+Sparse patterns thus escape the k! growth, but for a dense pattern with
+little symmetry each added vertex still multiplies the cost by about k (the
+variance of an 8-vertex pattern with |Aut| = 1 takes about 0.01-0.02 s with
+8 edges and 0.2-0.3 s with 12 or more, on a 2-vCPU Intel Xeon).  A vertex
+count or builtin parameter of more than 20 digits is refused with the cap
+message before it is converted.
 """
 
 from __future__ import annotations
@@ -73,14 +77,43 @@ class PatternGraph(_Record):
         return tuple(sorted(self.edges))
 
 
+def _above_cap(vertices: str) -> ValueError:
+    return ValueError(
+        f"pattern has {vertices} vertices, above the engine maximum of "
+        f"{DEFAULT_MAX_VERTICES}: the overlap sum visits about e * k! / |Aut| "
+        f"ordered vertex tuples, or 2^e edge subsets where that costs less, so "
+        f"each added vertex can multiply the cost of a dense pattern with "
+        f"little symmetry by about k"
+    )
+
+
 def _check_size(vertex_count: int) -> None:
     if vertex_count > DEFAULT_MAX_VERTICES:
-        raise ValueError(
-            f"pattern has {vertex_count} vertices, above the engine maximum of "
-            f"{DEFAULT_MAX_VERTICES}: the overlap sum visits about e * k! / |Aut| "
-            f"ordered vertex tuples, at most e * k!, so each added vertex can "
-            f"multiply its cost by about k"
-        )
+        raise _above_cap(str(vertex_count))
+
+
+def _count(text: str) -> int | None:
+    """The integer a vertex count or builtin parameter spells, or None when
+    int() refuses the text.
+
+    int() refuses more than 4300 digits, leading zeros included, so the
+    zeros are dropped first, and a count of more than 20 digits gets the cap
+    message before any conversion; the message then echoes no digits.
+    """
+    digits = text.lstrip("+").lstrip("0") or "0"
+    if digits.isdecimal():
+        if len(digits) > 20:
+            raise _above_cap("at least 10**20")
+        return int(digits)
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _excerpt(text: str) -> str:
+    """repr of `text`, cut after 40 characters to keep messages short."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
 
 
 def parse_adjacency_matrix(text: str) -> PatternGraph:
@@ -136,12 +169,12 @@ def parse_edge_list(text: str) -> PatternGraph:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty pattern input")
-    try:
-        (k,) = map(int, lines[0].split())
-    except ValueError:
+    header = lines[0].split()
+    k = _count(header[0]) if len(header) == 1 else None
+    if k is None:
         raise ValueError(
-            f"edge list must start with the vertex count, got {lines[0].strip()!r}"
-        ) from None
+            f"edge list must start with the vertex count, got {_excerpt(lines[0].strip())}"
+        )
     if k < 1:
         raise ValueError("edge list vertex count must be >= 1")
     _check_size(k)
@@ -149,12 +182,14 @@ def parse_edge_list(text: str) -> PatternGraph:
     for line in lines[1:]:
         tokens = line.split()
         if len(tokens) != 2:
-            raise ValueError(f"cannot parse edge list line {line.strip()!r}: expected 'u v'")
+            raise ValueError(
+                f"cannot parse edge list line {_excerpt(line.strip())}: expected 'u v'"
+            )
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ValueError(
-                f"cannot parse edge list line {line.strip()!r}: expected integers"
+                f"cannot parse edge list line {_excerpt(line.strip())}: expected integers"
             ) from None
         edges.append((u, v))
     return PatternGraph(k, edges)
@@ -194,16 +229,18 @@ def builtin(name: str) -> PatternGraph:
     elif ":" in key:
         family, _, tail = key.partition(":")
         if family not in _FAMILIES:
-            raise ValueError(f"unknown pattern family {family!r} in {name!r}")
+            raise ValueError(f"unknown pattern family {_excerpt(family)} in {_excerpt(name)}")
         if not tail.isdecimal():
-            raise ValueError(f"pattern parameter in {name!r} must be a positive integer")
-        size = int(tail)
+            raise ValueError(
+                f"pattern parameter in {_excerpt(name)} must be a positive integer"
+            )
+        size = _count(tail)
         if size < 1:
-            raise ValueError(f"pattern parameter in {name!r} must be >= 1")
+            raise ValueError(f"pattern parameter in {_excerpt(name)} must be >= 1")
     else:
         known = ", ".join(sorted(_FIXED_BUILTINS))
         raise ValueError(
-            f"unknown builtin pattern {name!r} (known: {known}; "
+            f"unknown builtin pattern {_excerpt(name)} (known: {known}; "
             f"parameterized: clique:K, cycle:K, path:K, star:K)"
         )
     _check_size(size + 1 if family == "star" else size)

@@ -1,10 +1,12 @@
 """Certification of the overlap-sum engine beyond the oracle's reach.
 
-Three routes: the engine's ordered-tuple mask tables, which it enumerates
-modulo the automorphism group, against tables counted tuple by tuple; exact
-agreement with the permutation-pair reference engine (`reference_engine.py`)
-on every small pattern and a seeded sample of larger ones; and polynomial
-identities that hold at every n for every pattern the engine accepts.
+Four routes: the engine's ordered-tuple mask tables, which it enumerates
+modulo the automorphism group, against tables counted tuple by tuple; the
+engine's two summation orders, over tuples and over common edge sets,
+against each other; exact agreement with the permutation-pair reference
+engine (`reference_engine.py`) on every small pattern and a seeded sample
+of larger ones; and polynomial identities that hold at every n for every
+pattern the engine accepts.
 """
 
 import random
@@ -27,7 +29,7 @@ from motifmoments import (
     mean_poly,
     variance_poly,
 )
-from motifmoments.moments import _mask_tables
+from motifmoments.moments import _mask_tables, _sums_by_edge_sets, _sums_by_tuples
 
 from helpers import cube, disjoint_union
 from reference_engine import reference_covariance, reference_second_moment
@@ -144,6 +146,74 @@ def test_variance_matches_reference_on_every_labeled_pattern_k5():
         expected = reference_covariance(pattern(rep), pattern(rep))
         for bits in labelings:
             assert variance_poly(pattern(bits)).covariance == expected, pattern(bits)
+
+
+def assert_orders_agree(pattern_a, pattern_b):
+    """Both summation orders give the same overlap sums, for both argument
+    orders of the edge-set order (the tuple order takes the pattern with
+    fewer vertices second)."""
+    if pattern_b.vertex_count > pattern_a.vertex_count:
+        pattern_a, pattern_b = pattern_b, pattern_a
+    tuples = _sums_by_tuples(pattern_a, pattern_b, automorphism_count(pattern_b))
+    assert _sums_by_edge_sets(pattern_a, pattern_b) == tuples, (pattern_a, pattern_b)
+    if pattern_b != pattern_a:
+        assert _sums_by_edge_sets(pattern_b, pattern_a) == tuples, (pattern_a, pattern_b)
+
+
+def test_summation_orders_agree_on_every_6_vertex_class_up_to_10_edges():
+    pairs, classes = isomorphism_classes(6)
+    assert len(classes) == 156
+    patterns = [PatternGraph(6, [p for j, p in enumerate(pairs) if rep >> j & 1]) for rep in classes]
+    sparse = [pattern for pattern in patterns if pattern.edge_count <= 10]
+    assert len(sparse) == 138
+    for pattern in sparse:
+        assert_orders_agree(pattern, pattern)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"path:{k}" for k in range(1, 9)] + [f"cycle:{k}" for k in range(3, 9)]
+    + [f"star:{k}" for k in range(1, 8)],
+)
+def test_summation_orders_agree_on_sparse_builtins(name):
+    assert_orders_agree(builtin(name), builtin(name))
+
+
+ISOLATED = {
+    "k5 P3": PatternGraph(5, [(1, 2), (2, 3)]),
+    "k6 P4": PatternGraph(6, [(0, 3), (3, 5), (5, 1)]),
+    "k7 2K2": PatternGraph(7, [(0, 6), (2, 4)]),
+    "k8 C5": PatternGraph(8, [(1, 3), (3, 5), (5, 7), (7, 2), (2, 1)]),
+    "k8 empty": PatternGraph(8),
+}
+
+
+@pytest.mark.parametrize(
+    "name_a,name_b",
+    [
+        ("path:6", "cycle:7"),
+        ("edge", "path:8"),
+        ("star:7", "path:5"),
+        ("path:7", "k8 empty"),
+        ("triangle", "k8 C5"),
+        ("path:7", "k7 2K2"),
+        ("cycle:6", "k6 P4"),
+        ("square", "k5 P3"),
+    ],
+)
+def test_summation_orders_agree_on_mixed_pairs(name_a, name_b):
+    pattern_a = builtin(name_a)
+    pattern_b = ISOLATED[name_b] if name_b in ISOLATED else builtin(name_b)
+    assert_orders_agree(pattern_a, pattern_b)
+    assert_orders_agree(pattern_b, pattern_a)
+
+
+@pytest.mark.parametrize("name", sorted(ISOLATED))
+def test_summation_orders_agree_with_isolated_vertices(name):
+    pattern = ISOLATED[name]
+    assert_orders_agree(pattern, pattern)
+    for other in ISOLATED.values():
+        assert_orders_agree(pattern, other)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

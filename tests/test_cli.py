@@ -270,6 +270,39 @@ def test_oversized_builtin_exits_2(capsys):
     assert "2000001 vertices, above the engine maximum" in err
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,needle",
+    [
+        (("mean", "--builtin", f"path:{NINES}"), "", "engine maximum"),
+        (("var", "--builtin", f"star:{NINES}"), "", "engine maximum"),
+        (("mean", "--stdin"), f"{NINES}\n0 1\n", "engine maximum"),
+        (("mean", "--stdin"), f"+000{NINES}\n0 1\n", "engine maximum"),
+        (("mean", "--stdin"), f"-{NINES}\n0 1\n", "must start with the vertex count"),
+        (("mean", "--stdin"), "0" * 5000 + "\n0 1\n", "vertex count must be >= 1"),
+        (("mean", "--builtin", "path:" + "0" * 5000), "", "must be >= 1"),
+        (("mean", "--stdin"), "x" * 5000 + "\n0 1\n", "must start with the vertex count"),
+        (("mean", "--stdin"), f"3\n0 {NINES}\n", "expected integers"),
+        (("mean", "--builtin", "path:" + "x" * 5000), "", "must be a positive integer"),
+        (("mean", "--builtin", "x" * 5000), "", "unknown builtin pattern"),
+        (("mean", "--builtin", "x" * 5000 + ":3"), "", "unknown pattern family"),
+    ],
+    ids=[
+        "path", "star", "count", "signed-count", "negative-count", "zero-count", "zero-path",
+        "letters", "endpoint",
+        "letter-parameter", "letter-name", "letter-family",
+    ],
+)
+def test_long_pattern_text_exits_2_with_a_short_message(capsys, monkeypatch, argv, stdin, needle):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert needle in err and "4300" not in err
+    assert len(err) < 400
+
+
 def test_verify_repeated_n_rejected(capsys):
     err = run_rejected(capsys, "verify", "--builtin", "triangle", "--n", "3,4,3")
     assert "repeated n values in '3,4,3': 3" in err

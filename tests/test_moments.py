@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import random
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from motifmoments import (
     second_moment_poly,
     variance_poly,
 )
+from motifmoments.moments import _edge_sets_cheaper
 
 from helpers import (
     GOLDEN_COV_EDGE_TRIANGLE,
@@ -239,6 +241,63 @@ def test_symmetric_pattern_variance_is_fast(name):
         variance_poly(pattern)
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.05
+
+
+def edge_sets_chosen(pattern_a, pattern_b):
+    """The engine's choice for a pair, with the pattern with fewer vertices
+    on the tuple side, as `_overlap_sums` orders them."""
+    if pattern_b.vertex_count > pattern_a.vertex_count:
+        pattern_a, pattern_b = pattern_b, pattern_a
+    return _edge_sets_cheaper(pattern_a, pattern_b, automorphism_count(pattern_b))
+
+
+def asymmetric_8_vertex_patterns(edge_count, samples, rng):
+    pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    found = []
+    while len(found) < samples:
+        pattern = PatternGraph(8, rng.sample(pairs, edge_count))
+        if automorphism_count(pattern) == 1:
+            found.append(pattern)
+    return found
+
+
+def test_sparse_asymmetric_patterns_take_the_edge_set_order():
+    rng = random.Random(20140523)
+    patterns = [builtin("path:7"), builtin("path:8")]
+    for edge_count in (6, 7, 8, 9):
+        patterns += asymmetric_8_vertex_patterns(edge_count, 5, rng)
+    for pattern in patterns:
+        assert edge_sets_chosen(pattern, pattern), pattern
+
+
+# The four densest graphs on six vertices whose only automorphism is the
+# identity, as perfbench's asym6-5 to asym6-8.
+ASYM6 = {
+    "asym6-5": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4)),
+    "asym6-6": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 5)),
+    "asym6-7": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 5), (4, 5)),
+    "asym6-8": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (4, 5)),
+}
+
+
+def test_small_dense_and_symmetric_patterns_take_the_tuple_order():
+    patterns = [builtin(f"clique:{k}") for k in range(1, 9)]
+    patterns += [builtin(f"star:{k}") for k in range(1, 8)]
+    patterns += [builtin(f"cycle:{k}") for k in range(6, 9)]
+    patterns += [PatternGraph(6, edges) for edges in ASYM6.values()]
+    for k in range(1, 6):
+        pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        for bits in range(1 << len(pairs)):
+            patterns.append(PatternGraph(k, [p for j, p in enumerate(pairs) if bits >> j & 1]))
+    for pattern in patterns:
+        assert not edge_sets_chosen(pattern, pattern), pattern
+    # the covariance pairs of perfbench's cold CLI workload, both ways round
+    for name_a, name_b in [
+        ("edge", "triangle"), ("wedge", "square"), ("path:4", "star:3"),
+        ("triangle", "k4"), ("cycle:5", "path:5"),
+    ]:
+        assert not edge_sets_chosen(builtin(name_a), builtin(name_b))
+        assert not edge_sets_chosen(builtin(name_b), builtin(name_a))
 
 
 def test_import_starts_no_process_machinery():
