@@ -33,6 +33,121 @@ def run_rejected(capsys, *argv):
     return captured.err
 
 
+USAGE = {
+    "mean": "usage: motifmoments mean [-h] [--builtin NAME] [--file PATH] [--stdin] "
+    "[--format {human,matrix-csv}] [--digits D] [--eval N]",
+    "var": "usage: motifmoments var [-h] [--builtin NAME] [--file PATH] [--stdin] "
+    "[--format {human,matrix-csv}] [--digits D] [--eval N] [--stddev] [--workers W]",
+    "cov": "usage: motifmoments cov [-h] [--builtin NAME] [--file PATH] [--stdin] "
+    "[--builtin2 NAME] [--file2 PATH] [--format {human,matrix-csv}] [--digits D] "
+    "[--eval N] [--workers W]",
+    "verify": "usage: motifmoments verify [-h] [--builtin NAME] [--file PATH] [--stdin] "
+    "[--builtin2 NAME] [--file2 PATH] --n LIST [--oracle-cap CAP] [--workers W]",
+    "builtins": "usage: motifmoments builtins [-h]",
+}
+
+WEDGE_EDGES = "3\n0 1\n1 2\n"
+BUILTINS_LISTING = (
+    "node       1 vertices, 0 edges\n"
+    "edge       2 vertices, 1 edges\n"
+    "wedge      3 vertices, 2 edges\n"
+    "triangle   3 vertices, 3 edges\n"
+    "square     4 vertices, 4 edges\n"
+    "k4         4 vertices, 6 edges\n"
+    "parameterized: clique:K (K>=1), cycle:K (K>=3), path:K (K vertices), star:K (K leaves)\n"
+)
+
+
+# (command line, stdin, exit status, stdout)
+CORPUS = [
+    ("mean --builtin triangle", "", 0, "1/48 n^3 - 1/16 n^2 + 1/24 n\n"),
+    (
+        "mean --builtin square --format matrix-csv",
+        "",
+        0,
+        "1,-3,11,-3,0\n128,64,128,64,1\n",
+    ),
+    (
+        "mean --stdin --eval 10 --digits 7",
+        WEDGE_EDGES,
+        0,
+        "1/8 n^3 - 3/8 n^2 + 1/4 n\nmean at n=10: 90 ≈ 90.00000\n",
+    ),
+    (
+        "var --builtin triangle --eval 1000000 --stddev",
+        "",
+        0,
+        "1/128 n^4 - 11/384 n^3 + 1/32 n^2 - 1/96 n\n"
+        "mean at n=1000000: 20833270833375000 ≈ 2.0833e16\n"
+        "variance at n=1000000: 7812471354197916656250 ≈ 7.8125e21\n"
+        "stddev at n=1000000: 8.8388e10\n",
+    ),
+    (
+        "var --builtin wedge --format matrix-csv --eval 5 --digits 3 --stddev",
+        "",
+        0,
+        "1,-19,29,-7,0\n8,32,32,16,1\n"
+        "mean at n=5: 15/2 ≈ 7.50\nvariance at n=5: 195/8 ≈ 24.4\nstddev at n=5: 4.94\n",
+    ),
+    (
+        "var --builtin node --eval 4 --stddev",
+        "",
+        0,
+        "0\nmean at n=4: 4 ≈ 4.0000\nvariance at n=4: 0 ≈ 0\nstddev at n=4: 0\n",
+    ),
+    ("var --builtin edge --workers 2", "", 0, "1/8 n^2 - 1/8 n\n"),
+    ("var --builtin triangle --stddev", "", 2, ""),
+    ("cov --builtin edge --builtin2 triangle", "", 0, "1/32 n^3 - 3/32 n^2 + 1/16 n\n"),
+    (
+        "cov --builtin edge --builtin2 triangle --format matrix-csv --eval 3",
+        "",
+        0,
+        "1,-3,1,0\n32,32,16,1\ncovariance at n=3: 3/16 ≈ 0.18750\n",
+    ),
+    (
+        "cov --builtin square --eval 6",
+        "",
+        0,
+        "1/512 n^6 - 5/256 n^5 + 161/2048 n^4 - 163/1024 n^3 + 327/2048 n^2 - 63/1024 n\n"
+        "covariance at n=6: 3105/256 ≈ 12.129\n",
+    ),
+    (
+        "cov --stdin --builtin2 wedge --eval 7 --digits 2",
+        TRIANGLE_MATRIX,
+        0,
+        "1/32 n^4 - 9/64 n^3 + 13/64 n^2 - 3/32 n\ncovariance at n=7: 1155/32 ≈ 36\n",
+    ),
+    (
+        "verify --builtin triangle --n 0,3,4",
+        "",
+        0,
+        "n=0: mean 0 OK, variance 0 OK\nn=3: mean 1/8 OK, variance 7/64 OK\n"
+        "n=4: mean 1/2 OK, variance 5/8 OK\nall 3 checks passed\n",
+    ),
+    (
+        "verify --builtin edge --builtin2 wedge --n 2,4",
+        "",
+        0,
+        "n=2: mean[A] 1/2 OK, mean[B] 0 OK, covariance 0 OK\n"
+        "n=4: mean[A] 3 OK, mean[B] 3 OK, covariance 3 OK\nall 2 checks passed\n",
+    ),
+    ("builtins", "", 0, BUILTINS_LISTING),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,code,out", CORPUS, ids=[case[0] for case in CORPUS])
+def test_cli_output_bytes(capsys, monkeypatch, argv, stdin, code, out):
+    """Exact stdout and exit status of each command line, and the usage line
+    of its subcommand with whitespace collapsed, which pins the option order."""
+    argv = argv.split()
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(capsys, *argv)[:2] == (code, out)
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert " ".join(usage.split()) == USAGE[argv[0]]
+
+
 def test_mean_triangle_human(capsys):
     code, out, err = run(capsys, "mean", "--builtin", "triangle")
     assert code == 0 and err == ""
