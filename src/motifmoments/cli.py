@@ -9,9 +9,12 @@ Examples::
     motifmoments builtins
 
 Patterns come from --builtin NAME, --file PATH, or --stdin; files and stdin
-hold either an adjacency matrix or an edge list (auto-detected from the first
-nonblank line).  Results go to stdout, errors to stderr with exit status 2;
-``verify`` exits 1 when any engine/oracle comparison mismatches.
+hold either an adjacency matrix or an edge list, told apart by
+`pattern.parse_pattern_text`.  ``mean``, ``var`` and ``cov`` build their
+output through one routine: the polynomial in the chosen --format, then with
+--eval N each labelled value at N, exact and as a decimal.  Results go to
+stdout, errors to stderr with exit status 2; ``verify`` exits 1 when any
+engine/oracle comparison mismatches.
 
 Output formats: ``human`` prints terms like ``1/48 n^3 - 1/16 n^2 + 1/24 n``;
 ``matrix-csv`` prints two comma-separated rows, numerators then denominators,
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .algebra import (
     RationalPolynomial,
@@ -33,13 +35,7 @@ from .algebra import (
 )
 from .moments import covariance_poly, mean_poly, variance_poly
 from .oracle import DEFAULT_NODE_CAP, MAX_NODE_CAP, verify
-from .pattern import (
-    PatternGraph,
-    builtin,
-    builtin_names,
-    parse_adjacency_matrix,
-    parse_edge_list,
-)
+from .pattern import PatternGraph, _excerpt, _numbers, builtin, builtin_names, parse_pattern_text
 
 # Largest --digits: the significand is built as an integer with D digits, and
 # Python refuses to print integers of more than 4300 digits.
@@ -81,27 +77,7 @@ def format_matrix_csv(poly: RationalPolynomial) -> str:
     return ",".join(numerators) + "\n" + ",".join(denominators)
 
 
-def render_poly(poly: RationalPolynomial, mode: str) -> str:
-    if mode == "matrix-csv":
-        return format_matrix_csv(poly)
-    return format_human(poly)
-
-
-def parse_pattern_text(text: str) -> PatternGraph:
-    """Auto-detect the pattern format.
-
-    A first nonblank line with several tokens is an adjacency-matrix row.  A
-    single-token first line is ``0`` for the one-vertex adjacency matrix
-    (the only 1x1 matrix with a zero diagonal) or a vertex count starting an
-    edge list.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty pattern input")
-    first = lines[0].split()
-    if len(first) > 1 or first[0] == "0":
-        return parse_adjacency_matrix(text)
-    return parse_edge_list(text)
+RENDERERS = {"human": format_human, "matrix-csv": format_matrix_csv}
 
 
 def _load_pattern(args: argparse.Namespace, secondary: bool = False) -> PatternGraph | None:
@@ -130,49 +106,49 @@ def _load_pattern(args: argparse.Namespace, secondary: bool = False) -> PatternG
     return parse_pattern_text(sys.stdin.read())
 
 
-def _eval_lines(n: int, digits: int, values: list[tuple[str, Fraction]]) -> list[str]:
-    """One line per (label, value): the exact value at n and its decimal rounding.
+def _output(
+    args: argparse.Namespace,
+    poly: RationalPolynomial,
+    evaluated: list[tuple[str, RationalPolynomial]],
+) -> list[str]:
+    """The lines to print: `poly` in the --format chosen, then with --eval N
+    one line per (label, polynomial) in `evaluated`, with its exact value at
+    N and that value's decimal rounding to --digits.
 
     A value with more digits than Python converts to a string is an error on
-    --eval; the commands build every line before printing any, so nothing is
-    printed then."""
+    --eval; every line is built before any is printed, so nothing is printed
+    then."""
+    lines = [RENDERERS[args.format](poly)]
+    if args.eval is None:
+        return lines
+    n, digits = args.eval, args.digits
     try:
-        return [
-            f"{label} at n={n}: {value} ≈ {format_rational_decimal(value, digits)}"
-            for label, value in values
-        ]
+        for label, labelled in evaluated:
+            value = poly_eval_exact(labelled, n)
+            lines.append(f"{label} at n={n}: {value} ≈ {format_rational_decimal(value, digits)}")
     except ValueError as exc:
         raise ValueError(f"--eval: the exact value is too long to print ({exc})") from None
+    return lines
 
 
 def cmd_mean(args: argparse.Namespace) -> int:
-    pattern = _load_pattern(args)
-    poly = mean_poly(pattern)
-    lines = [render_poly(poly, args.format)]
-    if args.eval is not None:
-        value = poly_eval_exact(poly, args.eval)
-        lines += _eval_lines(args.eval, args.digits, [("mean", value)])
-    print("\n".join(lines))
+    poly = mean_poly(_load_pattern(args))
+    print("\n".join(_output(args, poly, [("mean", poly)])))
     return 0
 
 
 def cmd_var(args: argparse.Namespace) -> int:
     if args.stddev and args.eval is None:
         raise ValueError("--stddev requires --eval N")
-    pattern = _load_pattern(args)
-    report = variance_poly(pattern, workers=args.workers)
-    lines = [render_poly(report.covariance, args.format)]
-    if args.eval is not None:
-        n, digits = args.eval, args.digits
-        variance_value = poly_eval_exact(report.covariance, n)
-        values = [("mean", poly_eval_exact(report.mean_a, n)), ("variance", variance_value)]
-        lines += _eval_lines(n, digits, values)
-        if args.stddev:
-            if variance_value < 0:
-                raise RuntimeError(
-                    f"internal error: variance evaluated negative ({variance_value}) at n={n}"
-                )
-            lines.append(f"stddev at n={n}: {sqrt_decimal(variance_value, digits)}")
+    report = variance_poly(_load_pattern(args), workers=args.workers)
+    variance = report.covariance
+    lines = _output(args, variance, [("mean", report.mean_a), ("variance", variance)])
+    if args.stddev:
+        n = args.eval
+        value = poly_eval_exact(variance, n)
+        if value < 0:
+            raise RuntimeError(f"internal error: variance evaluated negative ({value}) at n={n}")
+        lines.append(f"stddev at n={n}: {sqrt_decimal(value, args.digits)}")
     print("\n".join(lines))
     return 0
 
@@ -181,11 +157,7 @@ def cmd_cov(args: argparse.Namespace) -> int:
     pattern_a = _load_pattern(args)
     pattern_b = _load_pattern(args, secondary=True) or pattern_a
     report = covariance_poly(pattern_a, pattern_b, workers=args.workers)
-    lines = [render_poly(report.covariance, args.format)]
-    if args.eval is not None:
-        value = poly_eval_exact(report.covariance, args.eval)
-        lines += _eval_lines(args.eval, args.digits, [("covariance", value)])
-    print("\n".join(lines))
+    print("\n".join(_output(args, report.covariance, [("covariance", report.covariance)])))
     return 0
 
 
@@ -226,17 +198,18 @@ def cmd_builtins(args: argparse.Namespace) -> int:
 
 
 def _int_at_least(minimum: int, maximum: int | None = None):
-    """argparse type: an integer >= minimum and, if given, <= maximum."""
+    """argparse type: an integer >= minimum and, if given, <= maximum.
+    Echoed input is cut at 40 characters."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}") from None
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {_numbers(value)}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {_numbers(value)}")
         return value
 
     return parse
@@ -249,61 +222,72 @@ def _n_list(text: str) -> list[int]:
     try:
         n_values = [int(v) for v in values]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer in n list: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad integer in n list: {_excerpt(text)}") from None
     negative = [n for n in n_values if n < 0]
     if negative:
-        raise argparse.ArgumentTypeError(
-            f"n values must be >= 0, got {', '.join(map(str, negative))}"
-        )
+        raise argparse.ArgumentTypeError(f"n values must be >= 0, got {_numbers(*negative)}")
     repeated = sorted({n for n in n_values if n_values.count(n) > 1})
     if repeated:
         raise argparse.ArgumentTypeError(
-            f"repeated n values in {text!r}: {', '.join(map(str, repeated))}"
+            f"repeated n values in {_excerpt(text)}: {_numbers(*repeated)}"
         )
     return n_values
 
 
-def _add_source_arguments(parser: argparse.ArgumentParser, secondary: bool = False) -> None:
-    suffix = "2" if secondary else ""
-    which = "second pattern" if secondary else "pattern"
-    parser.add_argument(
-        f"--builtin{suffix}", metavar="NAME", help=f"builtin name for the {which}"
+def build_parser() -> argparse.ArgumentParser:
+    # Each argument set is declared once, as a parent parser; a subcommand's
+    # options appear in the order of its parents.
+    source, second, output, stddev, checks, workers = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
     )
-    parser.add_argument(
-        f"--file{suffix}",
+    source.add_argument("--builtin", metavar="NAME", help="builtin name for the pattern")
+    source.add_argument(
+        "--file",
         metavar="PATH",
-        help=f"file with the {which} (adjacency matrix or edge list, auto-detected)",
+        help="file with the pattern (adjacency matrix or edge list, auto-detected)",
     )
-    if not secondary:
-        parser.add_argument(
-            "--stdin", action="store_true", help="read the pattern from standard input"
-        )
-
-
-def _add_render_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    source.add_argument(
+        "--stdin", action="store_true", help="read the pattern from standard input"
+    )
+    second.add_argument("--builtin2", metavar="NAME", help="builtin name for the second pattern")
+    second.add_argument(
+        "--file2",
+        metavar="PATH",
+        help="file with the second pattern (adjacency matrix or edge list, auto-detected)",
+    )
+    output.add_argument(
         "--format",
-        choices=("human", "matrix-csv"),
+        choices=RENDERERS,
         default="human",
         help="polynomial output encoding (default: human)",
     )
-    parser.add_argument(
+    output.add_argument(
         "--digits",
         type=_int_at_least(1, MAX_DIGITS),
         default=5,
         metavar="D",
         help=f"significant digits for decimal output, 1 <= D <= {MAX_DIGITS} (default: 5)",
     )
-
-
-def _add_eval_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    output.add_argument(
         "--eval", type=_int_at_least(0), metavar="N", help="also evaluate at n=N >= 0"
     )
-
-
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    stddev.add_argument(
+        "--stddev",
+        action="store_true",
+        help="with --eval, also print the standard deviation",
+    )
+    checks.add_argument(
+        "--n", type=_n_list, required=True, metavar="LIST", help="comma-separated n values"
+    )
+    checks.add_argument(
+        "--oracle-cap",
+        type=_int_at_least(0),
+        default=DEFAULT_NODE_CAP,
+        metavar="CAP",
+        help=f"largest n the oracle may enumerate (default {DEFAULT_NODE_CAP}, "
+        f"max {MAX_NODE_CAP}; raising it warns about the graph count)",
+    )
+    workers.add_argument(
         "--workers",
         type=_int_at_least(1),
         default=1,
@@ -312,63 +296,35 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         "one process and the output is identical for any value (default: 1)",
     )
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motifmoments",
         description="Exact mean/variance/covariance polynomials for subgraph "
         "counts in the uniform random graph G(n, 1/2).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mean = sub.add_parser("mean", help="mean-count polynomial of a pattern")
-    _add_source_arguments(p_mean)
-    _add_render_arguments(p_mean)
-    _add_eval_argument(p_mean)
-    p_mean.set_defaults(func=cmd_mean)
-
-    p_var = sub.add_parser("var", help="variance polynomial of a pattern's count")
-    _add_source_arguments(p_var)
-    _add_render_arguments(p_var)
-    _add_eval_argument(p_var)
-    p_var.add_argument(
-        "--stddev",
-        action="store_true",
-        help="with --eval, also print the standard deviation",
-    )
-    _add_workers_argument(p_var)
-    p_var.set_defaults(func=cmd_var)
-
-    p_cov = sub.add_parser("cov", help="covariance polynomial of two patterns' counts")
-    _add_source_arguments(p_cov)
-    _add_source_arguments(p_cov, secondary=True)
-    _add_render_arguments(p_cov)
-    _add_eval_argument(p_cov)
-    _add_workers_argument(p_cov)
-    p_cov.set_defaults(func=cmd_cov)
-
-    p_verify = sub.add_parser(
-        "verify", help="certify engine polynomials against exhaustive enumeration"
-    )
-    _add_source_arguments(p_verify)
-    _add_source_arguments(p_verify, secondary=True)
-    p_verify.add_argument(
-        "--n", type=_n_list, required=True, metavar="LIST", help="comma-separated n values"
-    )
-    p_verify.add_argument(
-        "--oracle-cap",
-        type=_int_at_least(0),
-        default=DEFAULT_NODE_CAP,
-        metavar="CAP",
-        help=f"largest n the oracle may enumerate (default {DEFAULT_NODE_CAP}, "
-        f"max {MAX_NODE_CAP}; raising it warns about the graph count)",
-    )
-    _add_workers_argument(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_builtins = sub.add_parser("builtins", help="list builtin pattern names")
-    p_builtins.set_defaults(func=cmd_builtins)
-
+    for name, parents, func, summary in (
+        ("mean", [source, output], cmd_mean, "mean-count polynomial of a pattern"),
+        (
+            "var",
+            [source, output, stddev, workers],
+            cmd_var,
+            "variance polynomial of a pattern's count",
+        ),
+        (
+            "cov",
+            [source, second, output, workers],
+            cmd_cov,
+            "covariance polynomial of two patterns' counts",
+        ),
+        (
+            "verify",
+            [source, second, checks, workers],
+            cmd_verify,
+            "certify engine polynomials against exhaustive enumeration",
+        ),
+        ("builtins", [], cmd_builtins, "list builtin pattern names"),
+    ):
+        sub.add_parser(name, parents=parents, help=summary).set_defaults(func=func)
     return parser
 
 

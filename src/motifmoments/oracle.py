@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .algebra import _Record, poly_eval_exact
 from .moments import covariance_poly
-from .pattern import PatternGraph
+from .pattern import PatternGraph, _numbers
 from .symmetry import automorphism_count
 
 # Node caps for exhaustive enumeration: 6 nodes means 2^15 = 32768 graphs;
@@ -103,17 +103,21 @@ def _check_node_cap(n: int, node_cap: int) -> None:
         raise ValueError("node count must be >= 0")
     if node_cap > MAX_NODE_CAP:
         raise ValueError(
-            f"node cap {node_cap} is not supported: even {MAX_NODE_CAP + 1} nodes "
-            f"would mean 2**{(MAX_NODE_CAP + 1) * MAX_NODE_CAP // 2} graphs"
+            f"node cap {_numbers(node_cap)} is not supported: even {MAX_NODE_CAP + 1} "
+            f"nodes would mean 2**{(MAX_NODE_CAP + 1) * MAX_NODE_CAP // 2} graphs"
         )
     if n > node_cap:
         pair_count = n * (n - 1) // 2
         # 2**pair_count has about 0.15 * n**2 digits (a 2**(5 * 10**11) integer
-        # at n = 10**6), so it is written out only while it is short
-        graphs = f"2**{pair_count}" + (f" = {2**pair_count}" if pair_count <= 64 else "")
+        # at n = 10**6), so it is written out only while it is short, and
+        # pair_count only while it has at most 40 digits (str() refuses more
+        # than 4300)
+        graphs = f"2**{pair_count}" if pair_count < 10**40 else "2**C(n,2)"
+        if pair_count <= 64:
+            graphs += f" = {2**pair_count}"
         raise ValueError(
-            f"n={n} exceeds the exhaustive-enumeration cap of {node_cap} nodes: "
-            f"it would require iterating {graphs} labeled graphs"
+            f"n={_numbers(n)} exceeds the exhaustive-enumeration cap of {node_cap} "
+            f"nodes: it would require iterating {graphs} labeled graphs"
         )
 
 
@@ -191,29 +195,19 @@ def verify(
     for n in n_values:
         _check_node_cap(n, node_cap)
     report = covariance_poly(pattern_a, pattern_b, workers=workers)
-    same = pattern_a == pattern_b
+    # (label, field): both the report and the oracle's result carry each field
+    quantities = (
+        (("mean", "mean_a"), ("variance", "covariance"))
+        if pattern_a == pattern_b
+        else (("mean[A]", "mean_a"), ("mean[B]", "mean_b"), ("covariance", "covariance"))
+    )
     checks: list[VerificationCheck] = []
     for n in n_values:
         ground = exact_moments(pattern_a, pattern_b, n, node_cap=node_cap)
-        if same:
-            checks.append(
-                VerificationCheck(n, "mean", poly_eval_exact(report.mean_a, n), ground.mean_a)
+        checks += (
+            VerificationCheck(
+                n, label, poly_eval_exact(getattr(report, field), n), getattr(ground, field)
             )
-            checks.append(
-                VerificationCheck(
-                    n, "variance", poly_eval_exact(report.covariance, n), ground.covariance
-                )
-            )
-        else:
-            checks.append(
-                VerificationCheck(n, "mean[A]", poly_eval_exact(report.mean_a, n), ground.mean_a)
-            )
-            checks.append(
-                VerificationCheck(n, "mean[B]", poly_eval_exact(report.mean_b, n), ground.mean_b)
-            )
-            checks.append(
-                VerificationCheck(
-                    n, "covariance", poly_eval_exact(report.covariance, n), ground.covariance
-                )
-            )
+            for label, field in quantities
+        )
     return VerificationReport(pattern_a, pattern_b, tuple(checks))

@@ -12,6 +12,8 @@ edge list
     first nonblank line is the vertex count k; every further nonblank line is
     ``u v`` with 0 <= u, v < k.  Duplicate edges collapse.
 
+`parse_pattern_text` tells the two apart from the first nonblank line.
+
 Pattern size is capped at `DEFAULT_MAX_VERTICES` vertices, by the parsers,
 the builtins and the moment engine alike.  The engine's overlap sum takes
 the cheaper of two orders: one representative per automorphism orbit of the
@@ -27,6 +29,7 @@ message before it is converted.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 
 from .algebra import _Record
@@ -47,17 +50,21 @@ class PatternGraph(_Record):
     """Undirected simple graph on vertices 0..k-1; immutable once built.
 
     Edges are stored as (u, v) tuples with u < v, so {u, v} and {v, u} are
-    the same edge.  Self-loops and out-of-range endpoints are rejected.
+    the same edge.  Self-loops and out-of-range endpoints are rejected.  The
+    vertex count and the endpoints go through `operator.index`: a float
+    raises TypeError, and bools and int subclasses are stored as plain ints.
     """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
+        vertex_count = operator.index(vertex_count)
         if vertex_count < 1:
             raise ValueError("a pattern needs at least one vertex")
         normalized = set()
         for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -114,6 +121,29 @@ def _count(text: str) -> int | None:
 def _excerpt(text: str) -> str:
     """repr of `text`, cut after 40 characters to keep messages short."""
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
+def _numbers(*values: int) -> str:
+    """The integers comma-separated, cut after 40 characters like `_excerpt`."""
+    text = ", ".join(map(str, values))
+    return text if len(text) <= 40 else f"{text[:40]}..."
+
+
+def parse_pattern_text(text: str) -> PatternGraph:
+    """Parse either text format, telling them apart by the first nonblank line.
+
+    A first line with several tokens is an adjacency-matrix row.  A
+    single-token first line is ``0`` for the one-vertex adjacency matrix
+    (the only 1x1 matrix with a zero diagonal) or a vertex count starting an
+    edge list.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("empty pattern input")
+    first = lines[0].split()
+    if len(first) > 1 or first[0] == "0":
+        return parse_adjacency_matrix(text)
+    return parse_edge_list(text)
 
 
 def parse_adjacency_matrix(text: str) -> PatternGraph:

@@ -418,9 +418,48 @@ def test_long_pattern_text_exits_2_with_a_short_message(capsys, monkeypatch, arg
     assert len(err) < 400
 
 
+BIG = "9" * 4000  # int() takes it: it has fewer than 4300 digits
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (("verify", "--builtin", "edge", "--n", BIG), "exceeds the exhaustive-enumeration cap"),
+        (("verify", "--builtin", "edge", "--n", "3", "--oracle-cap", BIG), "is not supported"),
+        (("mean", "--builtin", "edge", "--eval", f"-{BIG}"), "must be >="),
+        (("mean", "--builtin", "edge", "--digits", f"-{BIG}"), "must be >="),
+        (("mean", "--builtin", "edge", "--digits", BIG), "must be <="),
+        (("var", "--builtin", "edge", "--workers", f"-{BIG}"), "must be >="),
+        (("verify", "--builtin", "edge", "--n", "3", "--oracle-cap", f"-{BIG}"), "must be >="),
+        (("verify", "--builtin", "edge", "--n", f"-{BIG}"), "must be >="),
+        (("cov", "--builtin", "edge", "--eval", NINES), "invalid int value"),
+        (("var", "--builtin", "edge", "--workers", f"x{BIG}"), "invalid int value"),
+        (("verify", "--builtin", "edge", "--n", f"3,{NINES}"), "bad integer in n list"),
+    ],
+    ids=[
+        "n-cap", "oracle-cap", "eval", "digits-low", "digits-high", "workers",
+        "oracle-cap-low", "n-negative", "eval-letters", "workers-letters",
+        "n-letters",
+    ],
+)
+def test_oversize_integer_flags_exit_2_with_a_short_message(capsys, monkeypatch, argv, needle):
+    # a wide terminal puts the usage on one line, so the size does not depend on it
+    monkeypatch.setenv("COLUMNS", "200")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert needle in captured.err and "4300" not in captured.err
+    assert len(captured.err.encode()) < 300
+
+
 def test_verify_repeated_n_rejected(capsys):
     err = run_rejected(capsys, "verify", "--builtin", "triangle", "--n", "3,4,3")
     assert "repeated n values in '3,4,3': 3" in err
+    err = run_rejected(capsys, "verify", "--builtin", "triangle", "--n", f"{BIG},{BIG}")
+    assert err.endswith(f"repeated n values in '{BIG[:40]}'...: {BIG[:40]}...\n")
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,21 @@ def test_pattern_graph_validation():
         PatternGraph(2, [(0, 2)])
 
 
+def test_pattern_graph_takes_only_integer_vertices():
+    for vertex_count, edges in [(3, [(0, 1.5)]), (3.0, [(0, 1)]), (3, [(0.0, 1)])]:
+        with pytest.raises(TypeError):
+            PatternGraph(vertex_count, edges)
+
+    class Int(int):
+        pass
+
+    p = PatternGraph(Int(3), [(True, Int(2)), (0, True)])
+    assert p == PatternGraph(3, [(1, 2), (0, 1)])
+    assert type(p.vertex_count) is int
+    assert {type(v) for edge in p.edges for v in edge} == {int}
+    assert repr(p) == repr(PatternGraph(3, [(1, 2), (0, 1)]))
+
+
 def test_relabel():
     wedge = builtin("wedge")  # path 0-1-2, center 1
     assert relabel(wedge, (2, 1, 0)) == wedge
