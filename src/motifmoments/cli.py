@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from .algebra import (
     RationalPolynomial,
@@ -226,7 +227,7 @@ def _n_list(text: str) -> list[int]:
     negative = [n for n in n_values if n < 0]
     if negative:
         raise argparse.ArgumentTypeError(f"n values must be >= 0, got {_numbers(*negative)}")
-    repeated = sorted({n for n in n_values if n_values.count(n) > 1})
+    repeated = sorted(n for n, times in Counter(n_values).items() if times > 1)
     if repeated:
         raise argparse.ArgumentTypeError(
             f"repeated n values in {_excerpt(text)}: {_numbers(*repeated)}"

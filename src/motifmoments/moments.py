@@ -39,7 +39,8 @@ The engine takes the edge-set order when 2 * 2^(eP) * k^2 is below
 e * k! / |Aut| for the tuple side's k, e and |Aut|: sparse patterns with
 little symmetry, such as path:7 and path:8.  Both orders give the same
 integers.  All arithmetic is exact integer counting until one rational
-scale at the end.  `covariance_poly` subtracts the product of the means.
+scale at the end.  `covariance_poly` subtracts the product of the means,
+formed in integers over the same scale.
 """
 
 from __future__ import annotations
@@ -59,8 +60,11 @@ class MomentReport(_Record):
     second_moment is the overlap sum
     2^-(eA+eB) / (|Aut A| |Aut B|) * sum_{i>=0} (n)_{kA+kB-i} * sum_{S,t} 2^c
     (see the module docstring), and covariance_poly forms
-    covariance = second_moment - mean_a * mean_b from it.  When pattern_a
-    equals pattern_b the covariance is the variance of the count.
+    covariance = second_moment - mean_a * mean_b from it.  The product of
+    the means has the same scale, mean_a * mean_b = (n)_kA (n)_kB /
+    (|Aut A| |Aut B| 2^(eA+eB)), so it is formed as an integer polynomial
+    and divided once per coefficient.  When pattern_a equals pattern_b the
+    covariance is the variance of the count.
     """
 
     pattern_a: PatternGraph
@@ -108,7 +112,8 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     times, the number of tuples its prefix stands for.  By orbit-stabiliser
     |G_p| = aut / weight, so once the weight reaches aut the stabiliser is
     trivial and every free vertex is its own orbit, as in the subset pass.
-    That is about e * k! / aut representatives, at most e * k!.
+    That is about e * k! / aut representatives, at most e * k!.  G_p
+    depends only on the set of p, so its orbits are found once per set.
 
     Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing slot p only adds
     the bits of pairs (., p).  Along the depth-first pass, slot_adj[w] holds
@@ -121,6 +126,7 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     slot_adj = [0] * k
     group = aut or 1  # subsets: the weight stays 1 and every vertex is its own orbit
     singletons = [1] * k
+    orbits: dict[int, dict[int, int]] = {}  # by the set of the prefix
 
     def extend(size: int, mask: int, used: int, start: int, weight: int) -> None:
         table = tables[size + 1]
@@ -128,7 +134,9 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
         if weight == group:  # G_p is trivial
             representatives, orbit = range(0 if aut else start, k), singletons
         else:
-            representatives = orbit = _orbits(adjacent, used)
+            if used not in orbits:
+                orbits[used] = _orbits(adjacent, used)
+            representatives = orbit = orbits[used]
         for w in representatives:
             if used >> w & 1:
                 continue
@@ -303,6 +311,11 @@ def covariance_poly(
 ) -> MomentReport:
     """Covariance of the two subgraph counts, with all components bundled.
 
+    covariance = second_moment - mean_a * mean_b, coefficient by
+    coefficient, with the product of the means taken in integers: the
+    convolution of the falling factorials (n)_kA and (n)_kB over the second
+    moment's scale |Aut A| |Aut B| 2^(eA+eB).
+
     `workers` must be >= 1 and has no other effect; the output is the same
     for every value.
     """
@@ -310,14 +323,23 @@ def covariance_poly(
         raise ValueError(f"workers must be >= 1, got {workers}")
     second = second_moment_poly(pattern_a, pattern_b)
     aut_a, aut_b = _aut_counts(pattern_a, pattern_b)
-    mean_a, mean_b = _mean(pattern_a, aut_a), _mean(pattern_b, aut_b)
+    # mean_a * mean_b = (n)_kA * (n)_kB / scale, scale being the second moment's
+    falls_a = falling_factorial_poly(pattern_a.vertex_count).coeffs
+    falls_b = falling_factorial_poly(pattern_b.vertex_count).coeffs
+    product = [0] * (len(falls_a) + len(falls_b) - 1)
+    for i, a in enumerate(falls_a):
+        for j, b in enumerate(falls_b):
+            product[i + j] += a.numerator * b.numerator
+    scale = aut_a * aut_b * 2 ** (pattern_a.edge_count + pattern_b.edge_count)
     return MomentReport(
         pattern_a=pattern_a,
         pattern_b=pattern_b,
-        mean_a=mean_a,
-        mean_b=mean_b,
+        mean_a=_mean(pattern_a, aut_a),
+        mean_b=_mean(pattern_b, aut_b),
         second_moment=second,
-        covariance=second - mean_a * mean_b,
+        covariance=RationalPolynomial(
+            second.coefficient(p) - Fraction(c, scale) for p, c in enumerate(product)
+        ),
         aut_a=aut_a,
         aut_b=aut_b,
     )

@@ -116,7 +116,7 @@ def _check_node_cap(n: int, node_cap: int) -> None:
         if pair_count <= 64:
             graphs += f" = {2**pair_count}"
         raise ValueError(
-            f"n={_numbers(n)} exceeds the exhaustive-enumeration cap of {node_cap} "
+            f"n={_numbers(n)} exceeds the exhaustive-enumeration cap of {_numbers(node_cap)} "
             f"nodes: it would require iterating {graphs} labeled graphs"
         )
 

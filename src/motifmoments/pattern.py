@@ -29,6 +29,7 @@ message before it is converted.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterable, Sequence
 
@@ -125,8 +126,16 @@ def _excerpt(text: str) -> str:
 
 def _numbers(*values: int) -> str:
     """The integers comma-separated, cut after 40 characters like `_excerpt`."""
-    text = ", ".join(map(str, values))
+    text = ", ".join(map(_number, values))
     return text if len(text) <= 40 else f"{text[:40]}..."
+
+
+def _number(value: int) -> str:
+    """str(value), or ~10**E for an integer of more than 14000 bits (str()
+    refuses more than 4300 digits), E read from its logarithm."""
+    if abs(value).bit_length() <= 14000:  # at most 4215 digits
+        return str(value)
+    return f"{'-' if value < 0 else ''}~10**{round(math.log10(abs(value)))}"
 
 
 def parse_pattern_text(text: str) -> PatternGraph:

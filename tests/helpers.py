@@ -140,17 +140,19 @@ def cube() -> PatternGraph:
     return PatternGraph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
 
 
-def automorphism_count_bruteforce(pattern: PatternGraph) -> int:
-    """Count by filtering all k! permutations; cross-validates the search."""
-    k = pattern.vertex_count
+def automorphisms_bruteforce(pattern: PatternGraph) -> list[tuple[int, ...]]:
+    """Every automorphism, found by filtering all k! permutations;
+    cross-validates the search."""
     edges = pattern.edges
-    count = 0
-    for perm in permutations(range(k)):
-        if all(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges
-        ):
-            count += 1
-    return count
+    return [
+        perm
+        for perm in permutations(range(pattern.vertex_count))
+        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges)
+    ]
+
+
+def automorphism_count_bruteforce(pattern: PatternGraph) -> int:
+    return len(automorphisms_bruteforce(pattern))
 
 
 def mask_edges(node_count: int, mask: int) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 """Command-line interface: rendering formats, sources, exit codes."""
 
 import io
+import time
 from fractions import Fraction
 
 import pytest
@@ -453,6 +454,18 @@ def test_oversize_integer_flags_exit_2_with_a_short_message(capsys, monkeypatch,
     assert code == 2 and captured.out == ""
     assert needle in captured.err and "4300" not in captured.err
     assert len(captured.err.encode()) < 300
+
+
+def test_long_n_list_is_refused_on_the_node_cap_in_linear_time(capsys):
+    # 20001 distinct values: a repeat search quadratic in the list length
+    # takes seconds on them
+    n_list = ",".join(map(str, range(20001)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--builtin", "edge", "--n", n_list)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert "n=7 exceeds the exhaustive-enumeration cap of 6 nodes" in err
+    assert elapsed < 1.5
 
 
 def test_verify_repeated_n_rejected(capsys):

@@ -146,6 +146,18 @@ def test_cap_message_names_the_graph_count_unexpanded(n):
         verify(builtin("edge"), builtin("edge"), [3, n])
 
 
+def test_cap_message_names_an_integer_too_long_for_str():
+    # 10**5000 has more digits than str() converts; the message must still
+    # be the node-cap one, naming n by its order of magnitude
+    edge = builtin("edge")
+    message = "n=~10**5000 exceeds the exhaustive-enumeration cap of 6 nodes"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify(edge, edge, [3, 10**5000])
+    message = "n=3 exceeds the exhaustive-enumeration cap of -~10**5000 nodes"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify(edge, edge, [3], node_cap=-(10**5000))
+
+
 def test_verify_triangle():
     report = verify(builtin("triangle"), builtin("triangle"), [3, 4, 5])
     assert report.all_match

@@ -1,14 +1,24 @@
-"""Automorphism group orders: known values, cross-validation, invariance, speed."""
+"""Automorphism group orders and stabiliser orbits: known values,
+cross-validation, invariance, search counts and speed."""
 
 import math
+import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifmoments import PatternGraph, automorphism_count, builtin, relabel
-from helpers import automorphism_count_bruteforce, cube, disjoint_union
+import motifmoments.symmetry as symmetry_module
+from motifmoments import PatternGraph, automorphism_count, builtin, relabel, variance_poly
+from motifmoments.symmetry import _adjacency, _orbits
+from helpers import (
+    automorphism_count_bruteforce,
+    automorphisms_bruteforce,
+    cube,
+    disjoint_union,
+)
 
 KNOWN_ORDERS = {
     "node": 1,
@@ -84,3 +94,68 @@ def test_clique8_is_counted_without_listing_the_group():
         automorphism_count(clique)
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.05
+
+
+def orbits_bruteforce(group, k, fixed):
+    """{least vertex of an orbit: its size} for the automorphisms in `group`,
+    given with the bitmask of their fixed points, that fix every vertex in
+    the bitmask `fixed`, on the other vertices."""
+    stabiliser = [g for g, points in group if points & fixed == fixed]
+    sizes = {}
+    for w in range(k):
+        if not fixed >> w & 1:
+            least = min(g[w] for g in stabiliser)
+            sizes[least] = sizes.get(least, 0) + 1
+    return sizes
+
+
+def assert_orbits_agree_with_bruteforce(pattern):
+    k = pattern.vertex_count
+    group = [
+        (g, sum(1 << v for v in range(k) if g[v] == v)) for g in automorphisms_bruteforce(pattern)
+    ]
+    adjacent = _adjacency(pattern)
+    for fixed in range(1 << k):
+        assert _orbits(adjacent, fixed) == orbits_bruteforce(group, k, fixed), (pattern, fixed)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_orbits_agree_with_bruteforce_on_every_small_pattern(k):
+    pairs = list(combinations(range(k), 2))
+    for bits in range(1 << len(pairs)):
+        pattern = PatternGraph(k, [p for j, p in enumerate(pairs) if bits >> j & 1])
+        assert_orbits_agree_with_bruteforce(pattern)
+
+
+@pytest.mark.parametrize("k,count", [(6, 12), (7, 4)])
+def test_orbits_agree_with_bruteforce_on_a_seeded_sample(k, count):
+    # a density drawn per pattern, so sparse and dense patterns with larger
+    # groups come up as well as the asymmetric ones of density 1/2
+    rng = random.Random(20141 + k)
+    for _ in range(count):
+        density = rng.random()
+        edges = [p for p in combinations(range(k), 2) if rng.random() < density]
+        assert_orbits_agree_with_bruteforce(PatternGraph(k, edges))
+
+
+@pytest.mark.parametrize(
+    "name,aut_searches,variance_searches", [("clique:8", 7, 21), ("star:7", 13, 65)]
+)
+def test_each_automorphism_found_settles_its_whole_orbit(
+    monkeypatch, name, aut_searches, variance_searches
+):
+    # one search per (vertex, target) pair would be 28 for either count
+    searches = []
+    search = symmetry_module._search
+
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(symmetry_module, "_search", counting)
+    pattern = builtin(name)
+    automorphism_count(pattern)
+    assert len(searches) <= aut_searches
+    searches.clear()
+    variance_poly(pattern)
+    assert len(searches) <= variance_searches
