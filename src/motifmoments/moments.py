@@ -35,12 +35,12 @@ pattern with fewer edges and Q the other, and u = |V(J)|,
 where emb(J -> Q) counts the injective maps that send J's edges to edges of
 Q.  This costs 2^(eP) embedding counts and does not grow with k!.
 
-The engine takes the edge-set order when 2 * 2^(eP) * k^2 is below
+The engine takes the edge-set order when 3.5 * 2^(eP) * k^2 is below
 e * k! / |Aut| for the tuple side's k, e and |Aut|: sparse patterns with
 little symmetry, such as path:7 and path:8.  Both orders give the same
 integers.  All arithmetic is exact integer counting until one rational
-scale at the end.  `covariance_poly` subtracts the product of the means,
-formed in integers over the same scale.
+scale per polynomial at the end; `covariance_poly` subtracts the product
+of the means from the second moment in integers over the same scale.
 """
 
 from __future__ import annotations
@@ -57,14 +57,11 @@ from .symmetry import _adjacency, _orbits, automorphism_count
 class MomentReport(_Record):
     """Mean, second-moment and covariance polynomials for a pattern pair.
 
-    second_moment is the overlap sum
-    2^-(eA+eB) / (|Aut A| |Aut B|) * sum_{i>=0} (n)_{kA+kB-i} * sum_{S,t} 2^c
-    (see the module docstring), and covariance_poly forms
-    covariance = second_moment - mean_a * mean_b from it.  The product of
-    the means has the same scale, mean_a * mean_b = (n)_kA (n)_kB /
-    (|Aut A| |Aut B| 2^(eA+eB)), so it is formed as an integer polynomial
-    and divided once per coefficient.  When pattern_a equals pattern_b the
-    covariance is the variance of the count.
+    second_moment is the overlap sum (see the module docstring) and
+    covariance = second_moment - mean_a * mean_b, the variance of the count
+    when pattern_a equals pattern_b.  Each is assembled in integers over one
+    scale, |Aut| 2^e for a mean and |Aut A| |Aut B| 2^(eA+eB) for the other
+    two, and each coefficient is one Fraction of an integer over it.
     """
 
     pattern_a: PatternGraph
@@ -83,10 +80,15 @@ def _aut_counts(pattern_a: PatternGraph, pattern_b: PatternGraph) -> tuple[int, 
     return aut_a, aut_a if pattern_b == pattern_a else automorphism_count(pattern_b)
 
 
+def _falls(k: int) -> list[int]:
+    """The integer coefficients of (n)_k, lowest power first."""
+    return [c.numerator for c in falling_factorial_poly(k).coeffs]
+
+
 def _mean(pattern: PatternGraph, aut: int) -> RationalPolynomial:
-    return falling_factorial_poly(pattern.vertex_count) * Fraction(
-        1, aut * 2**pattern.edge_count
-    )
+    """(n)_k / (|Aut| 2^e): the integer coefficients of (n)_k over that scale."""
+    scale = aut * 2**pattern.edge_count
+    return RationalPolynomial(Fraction(c, scale) for c in _falls(pattern.vertex_count))
 
 
 def mean_poly(pattern: PatternGraph) -> RationalPolynomial:
@@ -111,47 +113,47 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     of G_p, the automorphisms fixing p pointwise, and counts it weight*|G_p w|
     times, the number of tuples its prefix stands for.  By orbit-stabiliser
     |G_p| = aut / weight, so once the weight reaches aut the stabiliser is
-    trivial and every free vertex is its own orbit, as in the subset pass.
-    That is about e * k! / aut representatives, at most e * k!.  G_p
-    depends only on the set of p, so its orbits are found once per set.
+    trivial and every free vertex is its own orbit; in the subset pass every
+    vertex above the prefix's last is.  That is about e * k! / aut
+    representatives, at most e * k!.  G_p depends only on the set of p, so
+    the representatives and orbit sizes are found once per set.
 
-    Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing slot p only adds
-    the bits of pairs (., p).  Along the depth-first pass, slot_adj[w] holds
-    the slots already taken by neighbours of w; extending by w ORs it in.
+    Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing w at slot p adds
+    the pairs of p with the slots of w's placed neighbours.  Those travel down
+    the pass in one integer whose field w, bits w*d to w*d+d-1 (d = depth - 1:
+    the last slot pairs with no later one), holds w's.  Placing w at slot p
+    ORs in bit x*d + p for each neighbour x of w, so nothing is undone.
     """
     k = pattern.vertex_count
+    d = depth - 1
+    spread, field = [0] * k, (1 << d) - 1
+    for u, v in pattern.edges:
+        spread[u] |= 1 << v * d
+        spread[v] |= 1 << u * d
     adjacent = _adjacency(pattern)
-    neighbours = [[x for x in range(k) if adjacent[w] >> x & 1] for w in range(k)]
     tables: list[Counter[int]] = [Counter() for _ in range(depth + 1)]
-    slot_adj = [0] * k
-    group = aut or 1  # subsets: the weight stays 1 and every vertex is its own orbit
-    singletons = [1] * k
-    orbits: dict[int, dict[int, int]] = {}  # by the set of the prefix
+    # candidates and orbit sizes, by a subset prefix's last vertex + 1 or a tuple prefix's set
+    tails = [] if aut else [dict.fromkeys(range(start, k), 1) for start in range(k + 1)]
+    orbits: dict[int, dict[int, int]] = {}
 
-    def extend(size: int, mask: int, used: int, start: int, weight: int) -> None:
+    def extend(size: int, mask: int, used: int, weight: int, packed: int) -> None:
         table = tables[size + 1]
         shift = size * (size - 1) // 2
-        if weight == group:  # G_p is trivial
-            representatives, orbit = range(0 if aut else start, k), singletons
+        if not aut:
+            candidates = tails[used.bit_length()]
         else:
-            if used not in orbits:
-                orbits[used] = _orbits(adjacent, used)
-            representatives = orbit = orbits[used]
-        for w in representatives:
-            if used >> w & 1:
-                continue
-            grown = mask | slot_adj[w] << shift
-            count = weight * orbit[w]
+            if used not in orbits:  # G_p is trivial once the weight reaches aut
+                free = (w for w in range(k) if not used >> w & 1)
+                orbits[used] = _orbits(adjacent, used) if weight < aut else dict.fromkeys(free, 1)
+            candidates = orbits[used]
+        for w, orbit in candidates.items():
+            grown = mask | (packed >> w * d & field) << shift
+            count = weight * orbit
             table[grown] += count
             if size + 1 < depth:
-                bit = 1 << size
-                for x in neighbours[w]:
-                    slot_adj[x] |= bit
-                extend(size + 1, grown, used | 1 << w, w + 1, count)
-                for x in neighbours[w]:
-                    slot_adj[x] &= ~bit
+                extend(size + 1, grown, used | 1 << w, count, packed | spread[w] << size)
 
-    extend(0, 0, 0, 0, 1)
+    extend(0, 0, 0, 1, 0)
     return tables
 
 
@@ -271,14 +273,15 @@ def _embedding_count(edges: tuple[tuple[int, int], ...], u: int, adjacent: list[
 
 # One edge subset of the edge-set order costs about as much time as
 # _SUBSET_COST * k^2 representatives of the tuple order, k being the tuple
-# side's vertex count.  Measured on variances, both orders timed (best of 3,
-# 2-vCPU Intel Xeon, Python 3.11): every 4-, 5- and 6-vertex pattern, 57
-# seeded 7- and 8-vertex ones with 5-14 edges, and path:7/8, cycle:7/8 and
-# star:6/7.  Every weight from 1.85 to 2.5 picks the faster order or loses
-# at most 9 ms on a pattern.  At 1.5 a k = 8, e = 12, |Aut| = 1 pattern took
-# the edge-set order (0.57 s against 0.30 s); at 3 a k = 8, e = 9,
-# |Aut| = 4 pattern took the tuple order (97 ms against 34 ms).
-_SUBSET_COST = 2
+# side's vertex count.  Measured on variances, both orders timed (best of
+# 3-9 interleaved runs, 2-vCPU Intel Xeon, Python 3.11): each 4-, 5- and
+# 6-vertex class, 81 seeded 7- and 8-vertex patterns with 5-14 edges, and
+# path:7/8, cycle:7/8, star:6/7.  Weights from 3.4 to 4 lose the least: at
+# most 24 ms on a pattern, 0.19 s in all.  At 2 the k = 8, e = 11,
+# |Aut| = 1 patterns took the edge-set order (up to 0.32 s against 0.22 s),
+# losing 0.32 s in all; above 4, k = 7, e = 5, |Aut| = 4 ones take the
+# tuple order (8 ms against 0.9 ms).
+_SUBSET_COST = Fraction(7, 2)
 
 
 def _edge_sets_cheaper(pattern_a: PatternGraph, pattern_b: PatternGraph, aut_b: int) -> bool:
@@ -300,8 +303,8 @@ def second_moment_poly(pattern_a: PatternGraph, pattern_b: PatternGraph) -> Rati
     k = pattern_a.vertex_count + pattern_b.vertex_count
     total = [0] * (k + 1)
     for i, overlap in enumerate(_overlap_sums(pattern_a, pattern_b, aut_a, aut_b)):
-        for power, coeff in enumerate(falling_factorial_poly(k - i).coeffs):
-            total[power] += overlap * coeff.numerator
+        for power, coeff in enumerate(_falls(k - i)):
+            total[power] += overlap * coeff
     scale = aut_a * aut_b * 2 ** (pattern_a.edge_count + pattern_b.edge_count)
     return RationalPolynomial(Fraction(c, scale) for c in total)
 
@@ -311,10 +314,10 @@ def covariance_poly(
 ) -> MomentReport:
     """Covariance of the two subgraph counts, with all components bundled.
 
-    covariance = second_moment - mean_a * mean_b, coefficient by
-    coefficient, with the product of the means taken in integers: the
-    convolution of the falling factorials (n)_kA and (n)_kB over the second
-    moment's scale |Aut A| |Aut B| 2^(eA+eB).
+    covariance = second_moment - mean_a * mean_b, formed in integers over
+    the second moment's scale |Aut A| |Aut B| 2^(eA+eB): the second moment's
+    numerators over it, recovered exactly from its coefficients, less the
+    convolution of (n)_kA and (n)_kB, which is mean_a * mean_b over it.
 
     `workers` must be >= 1 and has no other effect; the output is the same
     for every value.
@@ -323,23 +326,20 @@ def covariance_poly(
         raise ValueError(f"workers must be >= 1, got {workers}")
     second = second_moment_poly(pattern_a, pattern_b)
     aut_a, aut_b = _aut_counts(pattern_a, pattern_b)
-    # mean_a * mean_b = (n)_kA * (n)_kB / scale, scale being the second moment's
-    falls_a = falling_factorial_poly(pattern_a.vertex_count).coeffs
-    falls_b = falling_factorial_poly(pattern_b.vertex_count).coeffs
-    product = [0] * (len(falls_a) + len(falls_b) - 1)
-    for i, a in enumerate(falls_a):
-        for j, b in enumerate(falls_b):
-            product[i + j] += a.numerator * b.numerator
     scale = aut_a * aut_b * 2 ** (pattern_a.edge_count + pattern_b.edge_count)
+    # both have degree kA + kB (the second moment's leading term is 1/scale)
+    numerators = [c.numerator * (scale // c.denominator) for c in second.coeffs]
+    falls_b = _falls(pattern_b.vertex_count)
+    for i, a in enumerate(_falls(pattern_a.vertex_count)):
+        for j, b in enumerate(falls_b):
+            numerators[i + j] -= a * b
     return MomentReport(
         pattern_a=pattern_a,
         pattern_b=pattern_b,
         mean_a=_mean(pattern_a, aut_a),
         mean_b=_mean(pattern_b, aut_b),
         second_moment=second,
-        covariance=RationalPolynomial(
-            second.coefficient(p) - Fraction(c, scale) for p, c in enumerate(product)
-        ),
+        covariance=RationalPolynomial(Fraction(c, scale) for c in numerators),
         aut_a=aut_a,
         aut_b=aut_b,
     )

@@ -101,6 +101,8 @@ def _check_node_cap(n: int, node_cap: int) -> None:
     """Reject enumerations past the cap."""
     if n < 0:
         raise ValueError("node count must be >= 0")
+    if node_cap < 0:
+        raise ValueError(f"node cap must be >= 0, got {_numbers(node_cap)}")
     if node_cap > MAX_NODE_CAP:
         raise ValueError(
             f"node cap {_numbers(node_cap)} is not supported: even {MAX_NODE_CAP + 1} "
@@ -189,10 +191,10 @@ def verify(
     """Compare the engine's mean/covariance polynomials, evaluated at each n,
     against exhaustive enumeration.  Matches are exact or not at all.
 
-    Every n is checked against the node cap before the engine or the oracle
-    runs."""
+    The node cap, and every n against it, are checked before the engine or
+    the oracle runs."""
     n_values = list(n_values)
-    for n in n_values:
+    for n in [0, *n_values]:  # n = 0 checks the cap itself, even for an empty list
         _check_node_cap(n, node_cap)
     report = covariance_poly(pattern_a, pattern_b, workers=workers)
     # (label, field): both the report and the oracle's result carry each field

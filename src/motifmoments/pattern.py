@@ -21,8 +21,8 @@ ordered tuples of distinct vertices of one pattern, about e * k! / |Aut| of
 them and at most e * k!, or the 2^e edge subsets of the sparser pattern.
 Sparse patterns thus escape the k! growth, but for a dense pattern with
 little symmetry each added vertex still multiplies the cost by about k (the
-variance of an 8-vertex pattern with |Aut| = 1 takes about 0.01-0.02 s with
-8 edges and 0.2-0.3 s with 12 or more, on a 2-vCPU Intel Xeon).  A vertex
+variance of an 8-vertex pattern with |Aut| = 1 takes about 0.01-0.03 s with
+8 or 9 edges and 0.2 s with 12 or more, on a 2-vCPU Intel Xeon).  A vertex
 count or builtin parameter of more than 20 digits is refused with the cap
 message before it is converted.
 """

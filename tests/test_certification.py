@@ -1,7 +1,8 @@
 """Certification of the overlap-sum engine beyond the oracle's reach.
 
-Four routes: the engine's ordered-tuple mask tables, which it enumerates
-modulo the automorphism group, against tables counted tuple by tuple; the
+Four routes: the engine's mask tables, of subsets and of ordered tuples
+(which it enumerates modulo the automorphism group), against tables counted
+selection by selection, at full depth and cut short as in a covariance; the
 engine's two summation orders, over tuples and over common edge sets,
 against each other; exact agreement with the permutation-pair reference
 engine (`reference_engine.py`) on every small pattern and a seeded sample
@@ -112,6 +113,68 @@ SYMMETRIC_8 = {
 def test_tuple_tables_match_permutations_on_symmetric_k8(name):
     pattern = SYMMETRIC_8[name]
     assert engine_tuple_tables(pattern) == tuple_tables_by_permutations(pattern)
+
+
+def tables_by_enumeration(pattern, depth, ordered):
+    """tables[i][mask] for i <= depth: the i-vertex selections whose induced
+    slot-pair mask is `mask`, counted one selection at a time; a selection is
+    an ordered tuple of distinct vertices, or a subset in increasing order."""
+    select = permutations if ordered else combinations
+    tables = [Counter()]
+    for i in range(1, depth + 1):
+        tables.append(
+            Counter(
+                sum(
+                    1 << p * (p - 1) // 2 + j
+                    for p in range(i)
+                    for j in range(p)
+                    if (min(s[j], s[p]), max(s[j], s[p])) in pattern.edges
+                )
+                for s in select(range(pattern.vertex_count), i)
+            )
+        )
+    return tables
+
+
+def test_subset_tables_match_combinations_on_every_labeled_pattern_k5():
+    for k in range(1, 6):
+        for pattern in all_labeled_patterns(k):
+            expected = tables_by_enumeration(pattern, k, ordered=False)
+            for depth in range(1, k + 1):
+                assert _mask_tables(pattern, depth) == expected[: depth + 1], (pattern, depth)
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_subset_tables_match_combinations_on_sampled_patterns(k):
+    rng = random.Random(20140524 + k)
+    for _ in range(12):
+        pattern = random_pattern(rng, k)
+        expected = tables_by_enumeration(pattern, k, ordered=False)
+        for depth in range(1, k + 1):
+            assert _mask_tables(pattern, depth) == expected[: depth + 1], (pattern, depth)
+
+
+def truncated_tuple_cases():
+    """Every labeled pattern with k <= 4, a seeded sample with k = 5-7 and
+    the symmetric 8-vertex patterns."""
+    for k in range(1, 5):
+        yield from all_labeled_patterns(k)
+    rng = random.Random(20140525)
+    for k in (5, 6, 7):
+        yield from (random_pattern(rng, k) for _ in range(8))
+    yield from SYMMETRIC_8.values()
+
+
+def test_truncated_tuple_tables_match_enumeration():
+    # the tables of the pattern with more vertices stop at the other's size
+    # in a covariance, so every depth below k is a case of its own
+    for pattern in truncated_tuple_cases():
+        aut = automorphism_count(pattern)
+        k = pattern.vertex_count
+        top = min(k - 1, 4)
+        expected = tables_by_enumeration(pattern, top, ordered=True)
+        for depth in range(1, top + 1):
+            assert _mask_tables(pattern, depth, aut) == expected[: depth + 1], (pattern, depth)
 
 
 def isomorphism_classes(k):

@@ -153,7 +153,7 @@ def test_cap_message_names_an_integer_too_long_for_str():
     message = "n=~10**5000 exceeds the exhaustive-enumeration cap of 6 nodes"
     with pytest.raises(ValueError, match=re.escape(message)):
         verify(edge, edge, [3, 10**5000])
-    message = "n=3 exceeds the exhaustive-enumeration cap of -~10**5000 nodes"
+    message = "node cap must be >= 0, got -~10**5000"
     with pytest.raises(ValueError, match=re.escape(message)):
         verify(edge, edge, [3], node_cap=-(10**5000))
 
@@ -189,6 +189,26 @@ def test_verify_checks_every_n_before_any_work(monkeypatch, node_cap, n_values):
         with pytest.raises(ValueError, match=f"cap of {node_cap}"):
             verify(triangle, triangle, n_values, node_cap=node_cap)
     assert calls == {"covariance_poly": 0, "exact_moments": 0}
+
+
+@pytest.mark.parametrize(
+    "node_cap,message",
+    [(cap, f"node cap must be >= 0, got {cap}") for cap in (-1, -7, -(10**30))]
+    + [(8, "node cap 8 is not supported")],
+    ids=["-1", "-7", "-10**30", "8"],
+)
+def test_invalid_node_cap_is_rejected(monkeypatch, node_cap, message):
+    # also with no n to check, and by the oracle alone
+    calls = count_calls(monkeypatch, oracle_module, "covariance_poly")
+    edge = builtin("edge")
+    message = re.escape(message)
+    with pytest.raises(ValueError, match=message):
+        verify(edge, edge, [0], node_cap=node_cap)
+    with pytest.raises(ValueError, match=message):
+        verify(edge, edge, [], node_cap=node_cap)
+    with pytest.raises(ValueError, match=message):
+        exact_moments(edge, edge, 0, node_cap=node_cap)
+    assert calls == {"covariance_poly": 0}
 
 
 def test_verify_accepts_a_generator(monkeypatch):
