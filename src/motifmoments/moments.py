@@ -20,12 +20,15 @@ overlap; the remaining vertices of both copies can be placed in
 where a mask is the induced edge set on the i slots.  The inner sum is
 taken in one of two orders, whichever is expected to cost less.
 
-Tuple order: the masks of every subset (of one pattern) and every ordered
-tuple (of the other) are built in one depth-first pass per pattern and
-aggregated by multiplicity, so the pair loop runs over distinct masks only.
-Tuples in one orbit of the automorphism group share their mask, so the
-tuple pass visits one representative per orbit, about e * k! / |Aut| of
-them and at most e * k!, and counts each by its orbit size.
+Tuple order: the masks of every ordered tuple of B and every subset of A
+are built in one depth-first pass per pattern and aggregated by
+multiplicity, so the pair loop runs over distinct masks only.  Tuples in one
+orbit of the automorphism group share their mask, so the tuple pass visits
+one representative per orbit, about e * k! / |Aut| of them and at most
+e * k!, and counts each by its orbit size.  Where that is fewer than A's 2^kA
+subsets, A's side is its ordered tuples too (B's own pass when A == B): the
+inner sum over B's tuples does not depend on the order of S, so each
+i-subset counts i! times and level i's total is divided by i!.
 
 Edge-set order: 2^c is the number of sets J of common edges, so with P the
 pattern with fewer edges and Q the other, and u = |V(J)|,
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, isqrt, perm
 
 from .algebra import RationalPolynomial, _Record, falling_factorial_poly
 from .pattern import PatternGraph, _check_size
@@ -72,12 +75,6 @@ class MomentReport(_Record):
     covariance: RationalPolynomial
     aut_a: int
     aut_b: int
-
-
-def _aut_counts(pattern_a: PatternGraph, pattern_b: PatternGraph) -> tuple[int, int]:
-    """Both automorphism group orders, searching once when the patterns are equal."""
-    aut_a = automorphism_count(pattern_a)
-    return aut_a, aut_a if pattern_b == pattern_a else automorphism_count(pattern_b)
 
 
 def _falls(k: int) -> list[int]:
@@ -171,22 +168,29 @@ def _overlap_sums(
         pattern_a, pattern_b, aut_a, aut_b = pattern_b, pattern_a, aut_b, aut_a
     if _edge_sets_cheaper(pattern_a, pattern_b, aut_b):
         return _sums_by_edge_sets(pattern_a, pattern_b)
-    return _sums_by_tuples(pattern_a, pattern_b, aut_b)
+    return _sums_by_tuples(pattern_a, pattern_b, aut_a, aut_b)
 
 
-def _sums_by_tuples(pattern_a: PatternGraph, pattern_b: PatternGraph, aut_b: int) -> list[int]:
-    """The overlap sums from the subset tables of A and the tuple tables of B
-    (kB <= kA), paired mask by distinct mask."""
+def _sums_by_tuples(
+    pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
+) -> list[int]:
+    """The overlap sums from the tuple tables of B (kB <= kA) and the tables
+    of A, paired mask by distinct mask.  A's are its tuple tables when that
+    pass should be shorter than its subset pass (see the module docstring)."""
     depth = pattern_b.vertex_count
-    subsets = _mask_tables(pattern_a, depth)
     tuples = _mask_tables(pattern_b, depth, aut_b)
+    ordered = _tuple_count(pattern_a, aut_a) < 2**pattern_a.vertex_count
+    if ordered and pattern_a == pattern_b:
+        tables_a = tuples
+    else:
+        tables_a = _mask_tables(pattern_a, depth, aut_a if ordered else 0)
     sums = [1] + [0] * depth
     for i in range(1, depth + 1):
         items_b = tuples[i].items()
         sums[i] = sum(
             count_a * sum(count_b << (mask_a & mask_b).bit_count() for mask_b, count_b in items_b)
-            for mask_a, count_a in subsets[i].items()
-        )
+            for mask_a, count_a in tables_a[i].items()
+        ) // (factorial(i) if ordered else 1)
     return sums
 
 
@@ -284,13 +288,18 @@ def _embedding_count(edges: tuple[tuple[int, int], ...], u: int, adjacent: list[
 _SUBSET_COST = Fraction(7, 2)
 
 
+def _tuple_count(pattern: PatternGraph, aut: int) -> int:
+    """About how many representatives the tuple pass visits: e * k! / |Aut|."""
+    return pattern.edge_count * factorial(pattern.vertex_count) // aut
+
+
 def _edge_sets_cheaper(pattern_a: PatternGraph, pattern_b: PatternGraph, aut_b: int) -> bool:
     """Whether the edge-set order should be cheaper than the tuple order,
     for B (kB <= kA) on the tuple side: 2^e edge subsets of the sparser
     pattern against about eB * kB! / |Aut B| tuple representatives."""
     k = pattern_b.vertex_count
     subsets = 2 ** min(pattern_a.edge_count, pattern_b.edge_count)
-    return _SUBSET_COST * subsets * k * k < pattern_b.edge_count * factorial(k) // aut_b
+    return _SUBSET_COST * subsets * k * k < _tuple_count(pattern_b, aut_b)
 
 
 def second_moment_poly(pattern_a: PatternGraph, pattern_b: PatternGraph) -> RationalPolynomial:
@@ -298,7 +307,8 @@ def second_moment_poly(pattern_a: PatternGraph, pattern_b: PatternGraph) -> Rati
     of two placed copies, the empty overlap included."""
     _check_size(pattern_a.vertex_count)
     _check_size(pattern_b.vertex_count)
-    aut_a, aut_b = _aut_counts(pattern_a, pattern_b)
+    aut_a = automorphism_count(pattern_a)
+    aut_b = aut_a if pattern_b == pattern_a else automorphism_count(pattern_b)
     # sum_i overlap_i * (n)_{k-i} in integer coefficients, then one division
     k = pattern_a.vertex_count + pattern_b.vertex_count
     total = [0] * (k + 1)
@@ -318,6 +328,9 @@ def covariance_poly(
     the second moment's scale |Aut A| |Aut B| 2^(eA+eB): the second moment's
     numerators over it, recovered exactly from its coefficients, less the
     convolution of (n)_kA and (n)_kB, which is mean_a * mean_b over it.
+    Only the empty overlap reaches degree kA + kB, so the leading
+    coefficient is exactly 1/scale; |Aut A| |Aut B| is read from it, and A's
+    group is searched again only when A != B.
 
     `workers` must be >= 1 and has no other effect; the output is the same
     for every value.
@@ -325,9 +338,11 @@ def covariance_poly(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     second = second_moment_poly(pattern_a, pattern_b)
-    aut_a, aut_b = _aut_counts(pattern_a, pattern_b)
-    scale = aut_a * aut_b * 2 ** (pattern_a.edge_count + pattern_b.edge_count)
-    # both have degree kA + kB (the second moment's leading term is 1/scale)
+    scale = second.coeffs[-1].denominator
+    auts = scale >> (pattern_a.edge_count + pattern_b.edge_count)
+    aut_a = isqrt(auts) if pattern_a == pattern_b else automorphism_count(pattern_a)
+    aut_b = auts // aut_a
+    # both have degree kA + kB
     numerators = [c.numerator * (scale // c.denominator) for c in second.coeffs]
     falls_b = _falls(pattern_b.vertex_count)
     for i, a in enumerate(_falls(pattern_a.vertex_count)):

@@ -18,7 +18,9 @@ Pattern size is capped at `DEFAULT_MAX_VERTICES` vertices, by the parsers,
 the builtins and the moment engine alike.  The engine's overlap sum takes
 the cheaper of two orders: one representative per automorphism orbit of the
 ordered tuples of distinct vertices of one pattern, about e * k! / |Aut| of
-them and at most e * k!, or the 2^e edge subsets of the sparser pattern.
+them and at most e * k!, paired with the 2^k vertex subsets of the other or
+with its own tuple representatives where those are fewer; or the 2^e edge
+subsets of the sparser pattern.
 Sparse patterns thus escape the k! growth, but for a dense pattern with
 little symmetry each added vertex still multiplies the cost by about k (the
 variance of an 8-vertex pattern with |Aut| = 1 takes about 0.01-0.03 s with

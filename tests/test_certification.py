@@ -4,7 +4,9 @@ Four routes: the engine's mask tables, of subsets and of ordered tuples
 (which it enumerates modulo the automorphism group), against tables counted
 selection by selection, at full depth and cut short as in a covariance; the
 engine's two summation orders, over tuples and over common edge sets,
-against each other; exact agreement with the permutation-pair reference
+against each other, and the tuple order's subset side taken over ordered
+tuples (as the engine does for symmetric patterns) against the same side
+taken over subsets; exact agreement with the permutation-pair reference
 engine (`reference_engine.py`) on every small pattern and a seeded sample
 of larger ones; and polynomial identities that hold at every n for every
 pattern the engine accepts.
@@ -12,6 +14,7 @@ pattern the engine accepts.
 
 import random
 from collections import Counter, defaultdict
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -30,7 +33,7 @@ from motifmoments import (
     mean_poly,
     variance_poly,
 )
-from motifmoments.moments import _mask_tables, _sums_by_edge_sets, _sums_by_tuples
+from motifmoments.moments import _mask_tables, _sums_by_edge_sets, _sums_by_tuples, _tuple_count
 
 from helpers import cube, disjoint_union
 from reference_engine import reference_covariance, reference_second_moment
@@ -177,6 +180,7 @@ def test_truncated_tuple_tables_match_enumeration():
             assert _mask_tables(pattern, depth, aut) == expected[: depth + 1], (pattern, depth)
 
 
+@cache
 def isomorphism_classes(k):
     """{representative: labelings} over every labeled pattern on k vertices,
     as edge bitmasks over the pairs in `combinations` order; a class is
@@ -217,7 +221,8 @@ def assert_orders_agree(pattern_a, pattern_b):
     fewer vertices second)."""
     if pattern_b.vertex_count > pattern_a.vertex_count:
         pattern_a, pattern_b = pattern_b, pattern_a
-    tuples = _sums_by_tuples(pattern_a, pattern_b, automorphism_count(pattern_b))
+    auts = automorphism_count(pattern_a), automorphism_count(pattern_b)
+    tuples = _sums_by_tuples(pattern_a, pattern_b, *auts)
     assert _sums_by_edge_sets(pattern_a, pattern_b) == tuples, (pattern_a, pattern_b)
     if pattern_b != pattern_a:
         assert _sums_by_edge_sets(pattern_b, pattern_a) == tuples, (pattern_a, pattern_b)
@@ -277,6 +282,78 @@ def test_summation_orders_agree_with_isolated_vertices(name):
     assert_orders_agree(pattern, pattern)
     for other in ISOLATED.values():
         assert_orders_agree(pattern, other)
+
+
+def sums_over_subsets(pattern_a, pattern_b):
+    """The overlap sums with A's side always on its subset tables and B's on
+    its tuple tables (kB <= kA), paired mask by mask."""
+    depth = pattern_b.vertex_count
+    subsets = _mask_tables(pattern_a, depth)
+    tuples = _mask_tables(pattern_b, depth, automorphism_count(pattern_b))
+    return [1] + [
+        sum(
+            count_a * count_b << (mask_a & mask_b).bit_count()
+            for mask_a, count_a in subsets[i].items()
+            for mask_b, count_b in tuples[i].items()
+        )
+        for i in range(1, depth + 1)
+    ]
+
+
+def routed_to_tuples(pattern):
+    """Whether the engine takes this pattern's subset side over its tuples."""
+    return _tuple_count(pattern, automorphism_count(pattern)) < 2**pattern.vertex_count
+
+
+def assert_tuple_side_agrees(pattern_a, pattern_b):
+    """A's side is routed to its tuple tables, and the overlap sums equal
+    those taken over A's subsets."""
+    if pattern_b.vertex_count > pattern_a.vertex_count:
+        pattern_a, pattern_b = pattern_b, pattern_a
+    assert routed_to_tuples(pattern_a), pattern_a
+    auts = automorphism_count(pattern_a), automorphism_count(pattern_b)
+    tuples = _sums_by_tuples(pattern_a, pattern_b, *auts)
+    assert tuples == sums_over_subsets(pattern_a, pattern_b), (pattern_a, pattern_b)
+
+
+def test_tuple_side_matches_subsets_on_every_labeled_pattern_k5():
+    routed = [p for k in range(1, 6) for p in all_labeled_patterns(k) if routed_to_tuples(p)]
+    assert len(routed) == 80
+    for pattern in routed:
+        assert_tuple_side_agrees(pattern, pattern)
+
+
+def test_tuple_side_matches_subsets_on_every_routed_6_vertex_class():
+    pairs, classes = isomorphism_classes(6)
+    patterns = [PatternGraph(6, [p for j, p in enumerate(pairs) if rep >> j & 1]) for rep in classes]
+    routed = [pattern for pattern in patterns if routed_to_tuples(pattern)]
+    assert len(routed) == 8
+    for pattern in routed:
+        assert_tuple_side_agrees(pattern, pattern)
+
+
+@pytest.mark.parametrize(
+    "name_a,name_b",
+    [
+        # kA > kB: A's tuple tables stop at depth kB
+        ("clique:7", "star:3"),
+        ("k8 empty", "edge"),
+        ("clique:8", "k4"),
+        ("star:7", "triangle"),
+        ("k8 empty", "clique:5"),
+        ("clique:6", "square"),
+        # kA = kB, A != B, both symmetric
+        ("clique:8", "star:7"),
+        ("clique:7", "star:6"),
+        ("k8 empty", "star:7"),
+        ("clique:4", "square"),
+    ],
+)
+def test_tuple_side_matches_subsets_on_symmetric_pairs(name_a, name_b):
+    pattern_a = ISOLATED[name_a] if name_a in ISOLATED else builtin(name_a)
+    pattern_b = builtin(name_b)
+    assert_tuple_side_agrees(pattern_a, pattern_b)
+    assert_tuple_side_agrees(pattern_b, pattern_a)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

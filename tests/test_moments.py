@@ -204,7 +204,8 @@ def test_public_surface():
 
 def test_automorphisms_searched_at_most_once_per_pattern_per_call(monkeypatch):
     # each public function searches once per distinct pattern; covariance_poly
-    # and second_moment_poly (which it calls) each search, so a variance is 2
+    # reads |Aut A| |Aut B| from the second moment it calls, so it searches
+    # again only for A, and only when A != B
     import motifmoments.moments as moments_module
 
     searched = []
@@ -219,8 +220,8 @@ def test_automorphisms_searched_at_most_once_per_pattern_per_call(monkeypatch):
         (lambda: mean_poly(square), [square]),
         (lambda: second_moment_poly(square, square), [square]),
         (lambda: second_moment_poly(edge, triangle), [edge, triangle]),
-        (lambda: variance_poly(square), [square, square]),
-        (lambda: covariance_poly(edge, triangle), [edge, triangle, edge, triangle]),
+        (lambda: variance_poly(square), [square]),
+        (lambda: covariance_poly(edge, triangle), [edge, triangle, edge]),
     ]
     for call, expected in calls:
         searched.clear()
@@ -298,6 +299,35 @@ def test_small_dense_and_symmetric_patterns_take_the_tuple_order():
     ]:
         assert not edge_sets_chosen(builtin(name_a), builtin(name_b))
         assert not edge_sets_chosen(builtin(name_b), builtin(name_a))
+
+
+@pytest.mark.parametrize(
+    "name,passes",
+    [
+        ("clique:8", ["tuples"]),
+        ("star:7", ["tuples"]),
+        ("clique:7", ["tuples"]),
+        ("star:6", ["tuples"]),
+        ("asym6-5", ["tuples", "subsets"]),
+        ("cycle:7", ["tuples", "subsets"]),
+        ("path:6", ["tuples", "subsets"]),
+    ],
+)
+def test_symmetric_variance_builds_one_table_pass(monkeypatch, name, passes):
+    # a symmetric pattern's subsets are paired from its own tuple tables
+    import motifmoments.moments as moments_module
+
+    made = []
+    mask_tables = moments_module._mask_tables
+
+    def counting(pattern, depth, aut=0):
+        made.append("tuples" if aut else "subsets")
+        return mask_tables(pattern, depth, aut)
+
+    monkeypatch.setattr(moments_module, "_mask_tables", counting)
+    pattern = PatternGraph(6, ASYM6[name]) if name in ASYM6 else builtin(name)
+    variance_poly(pattern)
+    assert made == passes
 
 
 def test_import_starts_no_process_machinery():

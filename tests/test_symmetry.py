@@ -139,7 +139,7 @@ def test_orbits_agree_with_bruteforce_on_a_seeded_sample(k, count):
 
 
 @pytest.mark.parametrize(
-    "name,aut_searches,variance_searches", [("clique:8", 7, 21), ("star:7", 13, 65)]
+    "name,aut_searches,variance_searches", [("clique:8", 7, 14), ("star:7", 13, 52)]
 )
 def test_each_automorphism_found_settles_its_whole_orbit(
     monkeypatch, name, aut_searches, variance_searches
