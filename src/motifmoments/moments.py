@@ -50,11 +50,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, isqrt, perm
 
 from .algebra import RationalPolynomial, _Record, falling_factorial_poly
 from .pattern import PatternGraph, _check_size
-from .symmetry import _adjacency, _orbits, automorphism_count
+from .symmetry import _adjacency, _orbits, _twin_classes, automorphism_count
 
 
 class MomentReport(_Record):
@@ -77,9 +78,10 @@ class MomentReport(_Record):
     aut_b: int
 
 
-def _falls(k: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _falls(k: int) -> tuple[int, ...]:
     """The integer coefficients of (n)_k, lowest power first."""
-    return [c.numerator for c in falling_factorial_poly(k).coeffs]
+    return tuple(c.numerator for c in falling_factorial_poly(k).coeffs)
 
 
 def _mean(pattern: PatternGraph, aut: int) -> RationalPolynomial:
@@ -113,7 +115,8 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     trivial and every free vertex is its own orbit; in the subset pass every
     vertex above the prefix's last is.  That is about e * k! / aut
     representatives, at most e * k!.  G_p depends only on the set of p, so
-    the representatives and orbit sizes are found once per set.
+    the representatives and orbit sizes are found once per set, each search
+    starting from the twin classes, which are found once per pass.
 
     Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing w at slot p adds
     the pairs of p with the slots of w's placed neighbours.  Those travel down
@@ -128,6 +131,7 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
         spread[u] |= 1 << v * d
         spread[v] |= 1 << u * d
     adjacent = _adjacency(pattern)
+    twins = _twin_classes(adjacent) if aut > 1 else []
     tables: list[Counter[int]] = [Counter() for _ in range(depth + 1)]
     # candidates and orbit sizes, by a subset prefix's last vertex + 1 or a tuple prefix's set
     tails = [] if aut else [dict.fromkeys(range(start, k), 1) for start in range(k + 1)]
@@ -141,7 +145,9 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
         else:
             if used not in orbits:  # G_p is trivial once the weight reaches aut
                 free = (w for w in range(k) if not used >> w & 1)
-                orbits[used] = _orbits(adjacent, used) if weight < aut else dict.fromkeys(free, 1)
+                orbits[used] = (
+                    _orbits(adjacent, used, twins) if weight < aut else dict.fromkeys(free, 1)
+                )
             candidates = orbits[used]
         for w, orbit in candidates.items():
             grown = mask | (packed >> w * d & field) << shift
@@ -299,7 +305,8 @@ def _edge_sets_cheaper(pattern_a: PatternGraph, pattern_b: PatternGraph, aut_b: 
     pattern against about eB * kB! / |Aut B| tuple representatives."""
     k = pattern_b.vertex_count
     subsets = 2 ** min(pattern_a.edge_count, pattern_b.edge_count)
-    return _SUBSET_COST * subsets * k * k < _tuple_count(pattern_b, aut_b)
+    tuples = _tuple_count(pattern_b, aut_b)
+    return _SUBSET_COST.numerator * subsets * k * k < tuples * _SUBSET_COST.denominator
 
 
 def second_moment_poly(pattern_a: PatternGraph, pattern_b: PatternGraph) -> RationalPolynomial:
@@ -340,8 +347,10 @@ def covariance_poly(
     second = second_moment_poly(pattern_a, pattern_b)
     scale = second.coeffs[-1].denominator
     auts = scale >> (pattern_a.edge_count + pattern_b.edge_count)
-    aut_a = isqrt(auts) if pattern_a == pattern_b else automorphism_count(pattern_a)
+    same = pattern_a == pattern_b
+    aut_a = isqrt(auts) if same else automorphism_count(pattern_a)
     aut_b = auts // aut_a
+    mean_a = _mean(pattern_a, aut_a)
     # both have degree kA + kB
     numerators = [c.numerator * (scale // c.denominator) for c in second.coeffs]
     falls_b = _falls(pattern_b.vertex_count)
@@ -351,8 +360,8 @@ def covariance_poly(
     return MomentReport(
         pattern_a=pattern_a,
         pattern_b=pattern_b,
-        mean_a=_mean(pattern_a, aut_a),
-        mean_b=_mean(pattern_b, aut_b),
+        mean_a=mean_a,
+        mean_b=mean_a if same else _mean(pattern_b, aut_b),
         second_moment=second,
         covariance=RationalPolynomial(Fraction(c, scale) for c in numerators),
         aut_a=aut_a,

@@ -6,8 +6,10 @@ listed: by orbit-stabiliser along the chain of point stabilisers.  Orbits
 come from a backtracking search (degree pruning) for an automorphism that
 maps one vertex to another; every automorphism it finds is kept, and all its
 cycles are merged into the orbit partition, so one search often settles a
-whole orbit (on clique:8 the first search maps 0 -> 7 and gives an 8-cycle).
-This is the orbit pruning of McKay and Piperno, *Practical graph
+whole orbit.  The partition starts from the twin classes: when u and v are
+twins, N(u) - {v} = N(v) - {u}, the transposition (u v) is an automorphism,
+so clique:8, whose automorphisms are all products of such, needs no search.
+This is the orbit and twin pruning of McKay and Piperno, *Practical graph
 isomorphism II* (2014), applied to the search itself.  The moment engine
 uses the same orbits to enumerate vertex tuples modulo the group.  The
 tests cross-check the count and the orbits against a brute-force filter
@@ -26,6 +28,31 @@ def _adjacency(pattern: PatternGraph) -> list[int]:
         adjacent[u] |= 1 << v
         adjacent[v] |= 1 << u
     return adjacent
+
+
+def _twin_classes(adjacent: list[int]) -> list[int]:
+    """The classes of two or more twins, as bitmasks.  u and v are twins when
+    N(u) - {v} = N(v) - {u}: N(u) = N(v) if they are not adjacent, N[u] = N[v]
+    if they are.  No N(x) is an N[y] (it would hold y, so x in N[y] = N(x)),
+    and no vertex has twins of both kinds: the classes are the groups of
+    equal N(u) or N[u]."""
+    groups: dict[int, int] = {}
+    for u, around in enumerate(adjacent):
+        for key in (around, around | 1 << u):
+            groups[key] = groups.get(key, 0) | 1 << u
+    return [members for members in groups.values() if members & (members - 1)]
+
+
+def _seeded(k: int, fixed: int, twins: list[int]) -> list[int]:
+    """The partition label of `_settle` in which each twin class, less the
+    vertices in the bitmask `fixed`, is one class: swapping two twins fixes
+    every other vertex, so two free twins share an orbit of the stabiliser."""
+    label = list(range(k))
+    for members in twins:
+        free = [x for x in range(k) if (members & ~fixed) >> x & 1]
+        for x in free:
+            label[x] = free[0]
+    return label
 
 
 def _search(adjacent: list[int], fixed: int, source: int, target: int) -> list[int] | None:
@@ -96,10 +123,11 @@ def _settle(adjacent: list[int], fixed: int, v: int, label: list[int]) -> None:
                         label[z] = low
 
 
-def _orbits(adjacent: list[int], fixed: int) -> dict[int, int]:
+def _orbits(adjacent: list[int], fixed: int, twins: list[int]) -> dict[int, int]:
     """Orbits of the automorphisms that fix every vertex in the bitmask
-    `fixed`, on the other vertices: {least vertex of an orbit: its size}."""
-    label = list(range(len(adjacent)))
+    `fixed`, on the other vertices: {least vertex of an orbit: its size}.
+    `twins` is `_twin_classes(adjacent)`; the search starts from its classes."""
+    label = _seeded(len(adjacent), fixed, twins)
     sizes: dict[int, int] = {}
     for w in range(len(adjacent)):
         if not fixed >> w & 1:
@@ -113,13 +141,15 @@ def automorphism_count(pattern: PatternGraph) -> int:
     """Order of the automorphism group; always divides k!.
 
     |Aut| is the product over v of the orbit size of v under the maps that
-    fix 0..v-1 (orbit-stabiliser along the point-stabiliser chain).
+    fix 0..v-1 (orbit-stabiliser along the point-stabiliser chain).  Each
+    level's partition starts from the twin classes, found once per call.
     """
     k = pattern.vertex_count
     adjacent = _adjacency(pattern)
+    twins = _twin_classes(adjacent)
     order = 1
     for v in range(k):
-        label = list(range(k))
+        label = _seeded(k, (1 << v) - 1, twins)
         _settle(adjacent, (1 << v) - 1, v, label)
         order *= label.count(v)
     return order
