@@ -15,18 +15,12 @@ edge list
 `parse_pattern_text` tells the two apart from the first nonblank line.
 
 Pattern size is capped at `DEFAULT_MAX_VERTICES` vertices, by the parsers,
-the builtins and the moment engine alike.  The engine's overlap sum takes
-the cheaper of two orders: one representative per automorphism orbit of the
-ordered tuples of distinct vertices of one pattern, about e * k! / |Aut| of
-them and at most e * k!, paired with the 2^k vertex subsets of the other or
-with its own tuple representatives where those are fewer; or the 2^e edge
-subsets of the sparser pattern.
-Sparse patterns thus escape the k! growth, but for a dense pattern with
-little symmetry each added vertex still multiplies the cost by about k (the
-variance of an 8-vertex pattern with |Aut| = 1 takes about 0.01-0.03 s with
-8 or 9 edges and 0.2 s with 12 or more, on a 2-vCPU Intel Xeon).  A vertex
-count or builtin parameter of more than 20 digits is refused with the cap
-message before it is converted.
+the builtins and the moment engine alike; `moments` says how the cost of the
+overlap sum grows with k.  A vertex count or builtin parameter of more than
+20 digits is refused with the cap message before it is converted.  Each line
+is split at most once past what a valid line holds, so an overlong line is
+refused after one extra token, and integers echoed in messages are cut to 40
+characters.
 """
 
 from __future__ import annotations
@@ -69,10 +63,11 @@ class PatternGraph(_Record):
         for u, v in edges:
             u, v = operator.index(u), operator.index(v)
             if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
+                raise ValueError(f"self-loop at vertex {_numbers(u)} is not allowed")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(
-                    f"edge ({u}, {v}) is out of range for {vertex_count} vertices"
+                    f"edge ({_numbers(u)}, {_numbers(v)}) is out of range for "
+                    f"{_numbers(vertex_count)} vertices"
                 )
             normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -99,7 +94,7 @@ def _above_cap(vertices: str) -> ValueError:
 
 def _check_size(vertex_count: int) -> None:
     if vertex_count > DEFAULT_MAX_VERTICES:
-        raise _above_cap(str(vertex_count))
+        raise _above_cap(_numbers(vertex_count))
 
 
 def _count(text: str) -> int | None:
@@ -140,6 +135,14 @@ def _number(value: int) -> str:
     return f"{'-' if value < 0 else ''}~10**{round(math.log10(abs(value)))}"
 
 
+def _lines(text: str) -> list[str]:
+    """The nonblank lines of `text`; input without one is refused."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("empty pattern input")
+    return lines
+
+
 def parse_pattern_text(text: str) -> PatternGraph:
     """Parse either text format, telling them apart by the first nonblank line.
 
@@ -148,10 +151,7 @@ def parse_pattern_text(text: str) -> PatternGraph:
     (the only 1x1 matrix with a zero diagonal) or a vertex count starting an
     edge list.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty pattern input")
-    first = lines[0].split()
+    first = _lines(text)[0].split(maxsplit=1)
     if len(first) > 1 or first[0] == "0":
         return parse_adjacency_matrix(text)
     return parse_edge_list(text)
@@ -164,41 +164,38 @@ def parse_adjacency_matrix(text: str) -> PatternGraph:
     nonzero diagonals, each with a distinct message.  The size cap is checked
     on the line count, before any row is split.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty pattern input")
+    lines = _lines(text)
     k = len(lines)
     _check_size(k)
-    matrix: list[list[int]] = []
+    rows = []
     for i, line in enumerate(lines):
-        row = line.split()
+        row = line.split(maxsplit=k)
         if len(row) != k:
+            entries = len(row) if len(row) < k else f"more than {k}"
             raise ValueError(
-                f"adjacency matrix must be square: row {i} has {len(row)} "
+                f"adjacency matrix must be square: row {i} has {entries} "
                 f"entries, expected {k}"
             )
-        entries = []
         for j, token in enumerate(row):
             if token not in ("0", "1"):
                 raise ValueError(
                     f"adjacency matrix entries must be 0 or 1, found {token!r} "
                     f"at row {i}, column {j}"
                 )
-            entries.append(int(token))
-        matrix.append(entries)
+        rows.append(row)
     for i in range(k):
-        if matrix[i][i] != 0:
+        if rows[i][i] != "0":
             raise ValueError(
                 f"adjacency matrix must have a zero diagonal, entry ({i}, {i}) is 1"
             )
     for i in range(k):
         for j in range(i + 1, k):
-            if matrix[i][j] != matrix[j][i]:
+            if rows[i][j] != rows[j][i]:
                 raise ValueError(
                     f"adjacency matrix must be symmetric, entries "
                     f"({i}, {j}) and ({j}, {i}) differ"
                 )
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k) if matrix[i][j]]
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k) if rows[i][j] == "1"]
     return PatternGraph(k, edges)
 
 
@@ -207,10 +204,8 @@ def parse_edge_list(text: str) -> PatternGraph:
 
     Self-loops and out-of-range endpoints are rejected by `PatternGraph`.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty pattern input")
-    header = lines[0].split()
+    lines = _lines(text)
+    header = lines[0].split(maxsplit=1)
     k = _count(header[0]) if len(header) == 1 else None
     if k is None:
         raise ValueError(
@@ -221,7 +216,7 @@ def parse_edge_list(text: str) -> PatternGraph:
     _check_size(k)
     edges = []
     for line in lines[1:]:
-        tokens = line.split()
+        tokens = line.split(maxsplit=2)
         if len(tokens) != 2:
             raise ValueError(
                 f"cannot parse edge list line {_excerpt(line.strip())}: expected 'u v'"

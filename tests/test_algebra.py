@@ -1,6 +1,7 @@
 """Exact scalar/polynomial arithmetic and decimal rendering."""
 
 import math
+import operator
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
@@ -77,11 +78,23 @@ def test_poly_scale():
     )
 
 
+@pytest.mark.parametrize("other", ["x", 0.5])
+def test_poly_operators_refuse_other_operand_types(other):
+    p = RationalPolynomial((1, 2))
+    for operate in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            operate(p, other)
+        with pytest.raises(TypeError):
+            operate(other, p)
+
+
 def test_falling_factorial_small():
     assert falling_factorial_poly(0).coeffs == (F(1),)
     assert falling_factorial_poly(1).coeffs == (F(0), F(1))
     assert falling_factorial_poly(2).coeffs == (F(0), F(-1), F(1))
     assert falling_factorial_poly(4).coeffs == (F(0), F(-6), F(11), F(-6), F(1))
+    with pytest.raises(ValueError, match="k >= 0"):
+        falling_factorial_poly(-1)
 
 
 @pytest.mark.parametrize("k", range(9))

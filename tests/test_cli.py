@@ -401,13 +401,15 @@ NINES = "9" * 5000
         (("mean", "--builtin", "path:" + "0" * 5000), "", "must be >= 1"),
         (("mean", "--stdin"), "x" * 5000 + "\n0 1\n", "must start with the vertex count"),
         (("mean", "--stdin"), f"3\n0 {NINES}\n", "expected integers"),
+        (("mean", "--stdin"), f"3\n0 {'9' * 4000}\n", "out of range"),
+        (("mean", "--stdin"), f"3\n{'9' * 4000} {'9' * 4000}\n", "self-loop"),
         (("mean", "--builtin", "path:" + "x" * 5000), "", "must be a positive integer"),
         (("mean", "--builtin", "x" * 5000), "", "unknown builtin pattern"),
         (("mean", "--builtin", "x" * 5000 + ":3"), "", "unknown pattern family"),
     ],
     ids=[
         "path", "star", "count", "signed-count", "negative-count", "zero-count", "zero-path",
-        "letters", "endpoint",
+        "letters", "endpoint", "endpoint-range", "endpoint-loop",
         "letter-parameter", "letter-name", "letter-family",
     ],
 )
@@ -483,6 +485,12 @@ def test_verify_repeated_n_rejected(capsys):
 def test_verify_negative_n_rejected(capsys, n_list, negative):
     err = run_rejected(capsys, "verify", "--builtin", "edge", f"--n={n_list}")
     assert f"argument --n: n values must be >= 0, got {negative}" in err
+
+
+@pytest.mark.parametrize("n_list", [",", " , ,"])
+def test_verify_empty_n_list_rejected(capsys, n_list):
+    err = run_rejected(capsys, "verify", "--builtin", "edge", f"--n={n_list}")
+    assert "argument --n: expected a comma-separated list of integers" in err
 
 
 @pytest.mark.parametrize("cap", ["-1", "-7"])

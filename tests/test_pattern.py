@@ -10,10 +10,12 @@ from motifmoments import (
     PatternGraph,
     builtin,
     builtin_names,
+    mean_poly,
     parse_adjacency_matrix,
     parse_edge_list,
     relabel,
 )
+from motifmoments.pattern import parse_pattern_text
 
 from helpers import to_adjacency_text, to_edge_list_text
 
@@ -69,6 +71,8 @@ def test_parse_edge_list_rejections():
         parse_edge_list("x\n0 1")
     with pytest.raises(ValueError, match="must start with the vertex count"):
         parse_edge_list("--5\n0 1")
+    with pytest.raises(ValueError, match="empty pattern input"):
+        parse_edge_list("  \n")
 
 
 def test_builtin_fixed_patterns():
@@ -133,6 +137,47 @@ def test_oversized_matrix_rejected_before_rows_are_split():
     finally:
         tracemalloc.stop()
     assert peak < 10_000_000
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        (" ".join(["1"] * 2_000_000) + "\n0 1\n", "row 0 has more than 2 entries"),
+        ("0 1\n" + " ".join(["1"] * 2_000_000) + "\n", "row 1 has more than 2 entries"),
+        ("3\n" + " ".join(["1"] * 2_000_000) + "\n", "expected 'u v'"),
+    ],
+    ids=["matrix-row-0", "matrix-row-1", "edge-line"],
+)
+def test_overlong_line_rejected_after_one_extra_token(text, needle):
+    # each line is split at most once past a valid line's token count, so
+    # the peak stays linear in the input: splitting all 2 million tokens
+    # would take 6 to 42 times the input
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=needle):
+            parse_pattern_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
+
+
+def test_huge_integers_are_cut_in_messages():
+    huge = 10**5000  # str() refuses it: it has more than 4300 digits
+    with pytest.raises(ValueError, match=r"^edge \(0, ~10\*\*5000\) is out of range for 3 "):
+        PatternGraph(3, [(0, huge)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex ~10\*\*5000 is not"):
+        PatternGraph(3, [(huge, huge)])
+    with pytest.raises(ValueError, match=r"^pattern has ~10\*\*5000 vertices, above the engine maximum"):
+        mean_poly(PatternGraph(huge))
+    # up to 40 characters an integer is echoed whole, past that it is cut
+    forty, more = "9" * 40, "9" * 41
+    with pytest.raises(ValueError) as exc:
+        PatternGraph(int(forty), [(0, int(more))])
+    assert str(exc.value) == f"edge (0, {forty}...) is out of range for {forty} vertices"
+    with pytest.raises(ValueError) as exc:
+        PatternGraph(2, [(-1, 0)])
+    assert str(exc.value) == "edge (-1, 0) is out of range for 2 vertices"
 
 
 def test_pattern_graph_validation():
