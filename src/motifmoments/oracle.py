@@ -4,9 +4,10 @@ Every labeled graph on n nodes is enumerated (they are equally likely under
 edge probability 1/2) and pattern occurrences are counted per graph by
 injective-map backtracking, so the moments come straight from their
 definition as averages over all 2^C(n,2) graphs.  Beyond the PatternGraph
-type, Fraction scalars and the automorphism count, nothing is shared with
-the polynomial engine: exact agreement between the two is meaningful
-evidence that both are right.
+type, Fraction scalars and the automorphism count, `exact_moments` shares
+nothing with the polynomial engine: exact agreement between the two is
+meaningful evidence that both are right.  `verify` calls the engine's
+`covariance_poly` to make that comparison.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def exact_moments(
 
     graphs = 1 << pair_count
     aut_a = automorphism_count(pattern_a)
-    aut_b = automorphism_count(pattern_b)
+    aut_b = aut_a if same else automorphism_count(pattern_b)
     mean_a = Fraction(total_a, aut_a * graphs)
     mean_b = Fraction(total_b, aut_b * graphs)
     second = Fraction(total_product, aut_a * aut_b * graphs)

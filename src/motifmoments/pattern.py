@@ -9,18 +9,19 @@ adjacency matrix
     matrix symmetric, and the diagonal zero.
 
 edge list
-    first nonblank line is the vertex count k; every further nonblank line is
-    ``u v`` with 0 <= u, v < k.  Duplicate edges collapse.
+    first nonblank line is the vertex count k, an optional ``+`` and decimal
+    digits; every further nonblank line is ``u v`` with 0 <= u, v < k.
+    Duplicate edges collapse.
 
 `parse_pattern_text` tells the two apart from the first nonblank line.
 
 Pattern size is capped at `DEFAULT_MAX_VERTICES` vertices, by the parsers,
 the builtins and the moment engine alike; `moments` says how the cost of the
 overlap sum grows with k.  A vertex count or builtin parameter of more than
-20 digits is refused with the cap message before it is converted.  Each line
-is split at most once past what a valid line holds, so an overlong line is
-refused after one extra token, and integers echoed in messages are cut to 40
-characters.
+20 significant digits is refused with the cap message before it is
+converted.  Each line is split at most once past what a valid line holds, so
+an overlong line is refused after one extra token, and integers echoed in
+messages are cut to 40 characters.
 """
 
 from __future__ import annotations
@@ -98,22 +99,20 @@ def _check_size(vertex_count: int) -> None:
 
 
 def _count(text: str) -> int | None:
-    """The integer a vertex count or builtin parameter spells, or None when
-    int() refuses the text.
+    """The integer a vertex count or builtin parameter spells: at most one
+    leading ``+``, then decimal digits.  None for any other text.
 
     int() refuses more than 4300 digits, leading zeros included, so the
-    zeros are dropped first, and a count of more than 20 digits gets the cap
-    message before any conversion; the message then echoes no digits.
+    zeros are dropped first, and more than 20 significant digits get the
+    cap message before any conversion; the message then echoes no digits.
     """
-    digits = text.lstrip("+").lstrip("0") or "0"
-    if digits.isdecimal():
-        if len(digits) > 20:
-            raise _above_cap("at least 10**20")
-        return int(digits)
-    try:
-        return int(text)
-    except ValueError:
+    digits = text.removeprefix("+")
+    if not digits.isdecimal():
         return None
+    digits = digits.lstrip("0")
+    if len(digits) > 20:
+        raise _above_cap("at least 10**20")
+    return int(digits or "0")
 
 
 def _excerpt(text: str) -> str:
@@ -149,12 +148,13 @@ def parse_pattern_text(text: str) -> PatternGraph:
     A first line with several tokens is an adjacency-matrix row.  A
     single-token first line is ``0`` for the one-vertex adjacency matrix
     (the only 1x1 matrix with a zero diagonal) or a vertex count starting an
-    edge list.
+    edge list.  The first line's split is dropped before the parser splits
+    it again, so a long row 0 costs what a long later row does.
     """
     first = _lines(text)[0].split(maxsplit=1)
-    if len(first) > 1 or first[0] == "0":
-        return parse_adjacency_matrix(text)
-    return parse_edge_list(text)
+    parse = parse_adjacency_matrix if len(first) > 1 or first[0] == "0" else parse_edge_list
+    del first
+    return parse(text)
 
 
 def parse_adjacency_matrix(text: str) -> PatternGraph:

@@ -1,6 +1,6 @@
 """Certification of the overlap-sum engine beyond the oracle's reach.
 
-Four routes: the engine's mask tables, of subsets and of ordered tuples
+Five routes: the engine's mask tables, of subsets and of ordered tuples
 (which it enumerates modulo the automorphism group), against tables counted
 selection by selection, at full depth and cut short as in a covariance; the
 engine's two summation orders, over tuples and over common edge sets,
@@ -8,16 +8,18 @@ against each other, and the tuple order's subset side taken over ordered
 tuples (as the engine does for symmetric patterns) against the same side
 taken over subsets; exact agreement with the permutation-pair reference
 engine (`reference_engine.py`) on every small pattern and a seeded sample
-of larger ones; and polynomial identities that hold at every n for every
-pattern the engine accepts.
+of larger ones; the covariances of induced counts, transformed from the
+engine's over every 4- and 5-vertex class, against a brute force over
+permutations and under complementation; and polynomial identities that hold
+at every n for every pattern the engine accepts.
 """
 
 import random
 from collections import Counter, defaultdict
 from functools import cache
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations, combinations_with_replacement, permutations
+from math import factorial, lcm, perm
 
 import pytest
 from hypothesis import given, seed, settings
@@ -387,6 +389,135 @@ def test_matches_reference_on_seeded_sample_k5_k6():
         expected = reference_covariance(pattern_a, pattern_b)
         assert covariance_poly(pattern_a, pattern_b).covariance == expected
         assert covariance_poly(pattern_b, pattern_a).covariance == expected
+
+
+def submasks(bits):
+    sub = bits
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & bits
+
+
+def class_pattern(k, bits):
+    """The k-vertex pattern with the edges set in `bits`, over the pairs in
+    `combinations` order as in `isomorphism_classes`."""
+    pairs = combinations(range(k), 2)
+    return PatternGraph(k, [pair for j, pair in enumerate(pairs) if bits >> j & 1])
+
+
+@cache
+def induced_covariances(k):
+    """Cov(I_H, I_K) for every pair of k-vertex classes, where I_H counts the
+    k-subsets S with G[S] isomorphic to H, from the engine's covariances.
+
+    X_F = sum over H of s(F, H) I_H, where s(F, H) counts the edge subsets of
+    H isomorphic to F; s(F, F) = 1 and s(F, H) = 0 unless F has fewer edges,
+    so I_F = X_F - sum over H != F of s(F, H) I_H, solved from the densest
+    class down.  Each engine covariance is taken at n = 0..2k (its degree is
+    at most 2k) in integers over one scale, and transformed on both sides.
+    Returns ({(H, K): values at n = 0..2k}, scale).
+    """
+    _, classes = isomorphism_classes(k)
+    reps = sorted(classes, key=lambda bits: (bits.bit_count(), bits))
+    class_of = {bits: rep for rep, labelings in classes.items() for bits in labelings}
+    supergraphs = defaultdict(Counter)  # supergraphs[F][H] = s(F, H)
+    for rep in reps:
+        for sub in submasks(rep):
+            supergraphs[class_of[sub]][rep] += 1
+    mobius = {}  # I_F = sum over H of mobius[F][H] X_H
+    for rep in reversed(reps):
+        combination = Counter({rep: 1})
+        for above, count in supergraphs[rep].items():
+            if above != rep:
+                for other, weight in mobius[above].items():
+                    combination[other] -= count * weight
+        mobius[rep] = combination
+
+    polys = {
+        (a, b): covariance_poly(class_pattern(k, a), class_pattern(k, b)).covariance
+        for a, b in combinations_with_replacement(reps, 2)
+    }
+    scale = lcm(*(c.denominator for poly in polys.values() for c in poly.coeffs))
+    points = range(2 * k + 1)
+    engine = {}
+    for (a, b), poly in polys.items():
+        numerators = [int(c * scale) for c in poly.coeffs]
+        engine[a, b] = engine[b, a] = [
+            sum(c * n**j for j, c in enumerate(numerators)) for n in points
+        ]
+
+    def combine(terms):
+        """The sum of weight * values over (values, weight) terms, pointwise."""
+        total = [0] * len(points)
+        for values, weight in terms:
+            total = [t + weight * v for t, v in zip(total, values)]
+        return total
+
+    half = {
+        (h, g): combine((engine[f, g], weight) for f, weight in mobius[h].items())
+        for h in reps
+        for g in reps
+    }
+    induced = {
+        (h, kk): combine((half[h, g], weight) for g, weight in mobius[kk].items())
+        for h in reps
+        for kk in reps
+    }
+    return induced, scale
+
+
+def brute_force_induced_covariance(k, tables_h, tables_k, aut_h, aut_k, n):
+    """Cov(I_H, I_K) at n from ordered tuples counted over permutations.
+
+    Maps phi of H and psi of K into the n nodes that share i nodes, where an
+    i-tuple of H's vertices meets an i-tuple of K's, number (n)_k (n-k)_{k-i}
+    per pair of tuples, over i! orderings of the shared nodes.  Both induced
+    graphs are fixed with probability 2^C(i,2) / 2^(2 C(k,2)) when the two
+    tuples have the same slot-pair mask, and never otherwise.
+    """
+    if n < k:
+        return Fraction(0)
+    square = aut_h * aut_k * 2 ** (k * (k - 1))
+    # matches[i]: pairs of an i-subset of H and an i-tuple of K with one mask;
+    # the tables start at i = 1, and the empty tuples match once
+    matches = [1] + [
+        sum(count * tables_k[i][mask] for mask, count in tables_h[i].items()) // factorial(i)
+        for i in range(1, k + 1)
+    ]
+    second = sum(
+        (perm(n, k) * perm(n - k, k - i) << i * (i - 1) // 2) * matches[i] for i in range(k + 1)
+    )
+    return Fraction(second, square) - Fraction(perm(n, k) ** 2, square)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_induced_covariances_match_brute_force(k):
+    _, classes = isomorphism_classes(k)
+    assert len(classes) == {4: 11, 5: 34}[k]
+    induced, scale = induced_covariances(k)
+    sides = {
+        rep: (tuple_tables_by_permutations(class_pattern(k, rep)), factorial(k) // len(labelings))
+        for rep, labelings in classes.items()
+    }
+    for (h, other), values in induced.items():
+        (tables_h, aut_h), (tables_k, aut_k) = sides[h], sides[other]
+        for n, value in enumerate(values):
+            expected = brute_force_induced_covariance(k, tables_h, tables_k, aut_h, aut_k, n)
+            assert Fraction(value, scale) == expected, (h, other, n)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_induced_covariances_are_complement_symmetric(k):
+    # G and its complement have the same law at p = 1/2, and I_H(G) is the
+    # count of H's complement in the complement of G
+    pairs, classes = isomorphism_classes(k)
+    induced, _ = induced_covariances(k)
+    full = (1 << len(pairs)) - 1
+    class_of = {bits: rep for rep, labelings in classes.items() for bits in labelings}
+    for (h, other), values in induced.items():
+        assert induced[class_of[full ^ h], class_of[full ^ other]] == values, (h, other)
 
 
 @pytest.mark.parametrize("name", FIXED_BUILTINS + tuple(FAMILY_BUILTINS))

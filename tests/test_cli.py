@@ -400,6 +400,10 @@ NINES = "9" * 5000
         (("mean", "--stdin"), "0" * 5000 + "\n0 1\n", "vertex count must be >= 1"),
         (("mean", "--builtin", "path:" + "0" * 5000), "", "must be >= 1"),
         (("mean", "--stdin"), "x" * 5000 + "\n0 1\n", "must start with the vertex count"),
+        (("mean", "--stdin"), "++3\n0 1\n", "must start with the vertex count"),
+        (("mean", "--stdin"), "+\n0 1\n", "must start with the vertex count"),
+        (("mean", "--stdin"), "-3\n0 1\n", "must start with the vertex count"),
+        (("mean", "--stdin"), "0_5\n0 1\n", "must start with the vertex count"),
         (("mean", "--stdin"), f"3\n0 {NINES}\n", "expected integers"),
         (("mean", "--stdin"), f"3\n0 {'9' * 4000}\n", "out of range"),
         (("mean", "--stdin"), f"3\n{'9' * 4000} {'9' * 4000}\n", "self-loop"),
@@ -409,7 +413,8 @@ NINES = "9" * 5000
     ],
     ids=[
         "path", "star", "count", "signed-count", "negative-count", "zero-count", "zero-path",
-        "letters", "endpoint", "endpoint-range", "endpoint-loop",
+        "letters", "double-plus", "lone-plus", "minus", "underscore",
+        "endpoint", "endpoint-range", "endpoint-loop",
         "letter-parameter", "letter-name", "letter-family",
     ],
 )

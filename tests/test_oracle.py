@@ -211,6 +211,13 @@ def test_invalid_node_cap_is_rejected(monkeypatch, node_cap, message):
     assert calls == {"covariance_poly": 0}
 
 
+@pytest.mark.parametrize("name_b,searches", [("square", 6), ("path:4", 12)])
+def test_oracle_counts_a_shared_group_once(monkeypatch, name_b, searches):
+    calls = count_calls(monkeypatch, oracle_module, "automorphism_count")
+    assert verify(builtin("square"), builtin(name_b), range(6)).all_match
+    assert calls == {"automorphism_count": searches}
+
+
 def test_verify_accepts_a_generator(monkeypatch):
     calls = count_calls(monkeypatch, oracle_module, "covariance_poly", "exact_moments")
     report = verify(builtin("triangle"), builtin("triangle"), (n for n in (3, 4, 5)))

@@ -58,6 +58,11 @@ def test_parse_edge_list_deduplicates():
     assert p.edge_count == 1
 
 
+@pytest.mark.parametrize("header", ["3", "+3", "003", "+003"])
+def test_edge_list_count_takes_one_plus_and_leading_zeros(header):
+    assert parse_pattern_text(f"{header}\n0 1\n1 2") == parse_edge_list("3\n0 1\n1 2")
+
+
 def test_parse_edge_list_rejections():
     with pytest.raises(ValueError, match="out of range"):
         parse_edge_list("2\n0 2")
@@ -69,8 +74,10 @@ def test_parse_edge_list_rejections():
         parse_edge_list("3\n0 x")
     with pytest.raises(ValueError, match="vertex count"):
         parse_edge_list("x\n0 1")
-    with pytest.raises(ValueError, match="must start with the vertex count"):
-        parse_edge_list("--5\n0 1")
+    # the count is at most one "+", then decimal digits
+    for header in ("--5", "++3", "+", "-3", "0_5"):
+        with pytest.raises(ValueError, match="must start with the vertex count"):
+            parse_edge_list(f"{header}\n0 1")
     with pytest.raises(ValueError, match="empty pattern input"):
         parse_edge_list("  \n")
 
@@ -151,7 +158,8 @@ def test_oversized_matrix_rejected_before_rows_are_split():
 def test_overlong_line_rejected_after_one_extra_token(text, needle):
     # each line is split at most once past a valid line's token count, so
     # the peak stays linear in the input: splitting all 2 million tokens
-    # would take 6 to 42 times the input
+    # would take 6 to 42 times the input.  The peak is the line list plus
+    # one split rest, about 2x wherever the long line sits
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=needle):
@@ -159,7 +167,7 @@ def test_overlong_line_rejected_after_one_extra_token(text, needle):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * len(text)
+    assert peak < 2.5 * len(text)
 
 
 def test_huge_integers_are_cut_in_messages():
