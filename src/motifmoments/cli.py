@@ -16,6 +16,10 @@ output through one routine: the polynomial in the chosen --format, then with
 stdout, errors to stderr with exit status 2; ``verify`` exits 1 when any
 engine/oracle comparison mismatches.
 
+Each command imports the engine (`moments`) or the oracle itself, once its
+patterns have loaded: a cold process compiles only the modules it runs, so
+``builtins`` and every input error compile neither.
+
 Output formats: ``human`` prints terms like ``1/48 n^3 - 1/16 n^2 + 1/24 n``;
 ``matrix-csv`` prints two comma-separated rows, numerators then denominators,
 highest degree first, absent terms encoded as 0/1 (the zero polynomial is the
@@ -34,9 +38,16 @@ from .algebra import (
     poly_eval_exact,
     sqrt_decimal,
 )
-from .moments import covariance_poly, mean_poly, variance_poly
-from .oracle import DEFAULT_NODE_CAP, MAX_NODE_CAP, verify
-from .pattern import PatternGraph, _excerpt, _numbers, builtin, builtin_names, parse_pattern_text
+from .pattern import (
+    DEFAULT_NODE_CAP,
+    MAX_NODE_CAP,
+    PatternGraph,
+    _excerpt,
+    _numbers,
+    builtin,
+    builtin_names,
+    parse_pattern_text,
+)
 
 # Largest --digits: the significand is built as an integer with D digits, and
 # Python refuses to print integers of more than 4300 digits.
@@ -133,7 +144,10 @@ def _output(
 
 
 def cmd_mean(args: argparse.Namespace) -> int:
-    poly = mean_poly(_load_pattern(args))
+    pattern = _load_pattern(args)
+    from .moments import mean_poly
+
+    poly = mean_poly(pattern)
     print("\n".join(_output(args, poly, [("mean", poly)])))
     return 0
 
@@ -141,7 +155,10 @@ def cmd_mean(args: argparse.Namespace) -> int:
 def cmd_var(args: argparse.Namespace) -> int:
     if args.stddev and args.eval is None:
         raise ValueError("--stddev requires --eval N")
-    report = variance_poly(_load_pattern(args), workers=args.workers)
+    pattern = _load_pattern(args)
+    from .moments import variance_poly
+
+    report = variance_poly(pattern, workers=args.workers)
     variance = report.covariance
     lines = _output(args, variance, [("mean", report.mean_a), ("variance", variance)])
     if args.stddev:
@@ -157,6 +174,8 @@ def cmd_var(args: argparse.Namespace) -> int:
 def cmd_cov(args: argparse.Namespace) -> int:
     pattern_a = _load_pattern(args)
     pattern_b = _load_pattern(args, secondary=True) or pattern_a
+    from .moments import covariance_poly
+
     report = covariance_poly(pattern_a, pattern_b, workers=args.workers)
     print("\n".join(_output(args, report.covariance, [("covariance", report.covariance)])))
     return 0
@@ -165,6 +184,8 @@ def cmd_cov(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     pattern_a = _load_pattern(args)
     pattern_b = _load_pattern(args, secondary=True) or pattern_a
+    from .oracle import verify
+
     n_values = args.n
     report = verify(
         pattern_a, pattern_b, n_values, node_cap=args.oracle_cap, workers=args.workers

@@ -18,13 +18,8 @@ from fractions import Fraction
 
 from .algebra import _Record, poly_eval_exact
 from .moments import covariance_poly
-from .pattern import PatternGraph, _numbers
+from .pattern import DEFAULT_NODE_CAP, MAX_NODE_CAP, PatternGraph, _numbers
 from .symmetry import automorphism_count
-
-# Node caps for exhaustive enumeration: 6 nodes means 2^15 = 32768 graphs;
-# 7 (opt-in, with a warning) means 2^21 = 2097152.
-DEFAULT_NODE_CAP = 6
-MAX_NODE_CAP = 7
 
 
 class OracleResult(_Record):

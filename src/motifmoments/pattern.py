@@ -10,8 +10,8 @@ adjacency matrix
 
 edge list
     first nonblank line is the vertex count k, an optional ``+`` and decimal
-    digits; every further nonblank line is ``u v`` with 0 <= u, v < k.
-    Duplicate edges collapse.
+    digits; every further nonblank line is ``u v`` with 0 <= u, v < k, each
+    spelled like k.  Duplicate edges collapse.
 
 `parse_pattern_text` tells the two apart from the first nonblank line.
 
@@ -33,6 +33,12 @@ from collections.abc import Iterable, Sequence
 from .algebra import _Record
 
 DEFAULT_MAX_VERTICES = 8
+
+# Node caps of the exhaustive oracle: 6 nodes means 2^15 = 32768 graphs;
+# 7 (opt-in, with a warning) means 2^21 = 2097152.  They live here, beside
+# the pattern cap, so that the CLI can state them without loading the oracle.
+DEFAULT_NODE_CAP = 6
+MAX_NODE_CAP = 7
 
 _FIXED_BUILTINS = {
     "node": ("clique", 1),
@@ -98,16 +104,23 @@ def _check_size(vertex_count: int) -> None:
         raise _above_cap(_numbers(vertex_count))
 
 
+def _digits(text: str) -> str | None:
+    """The digits of `text` if it spells a nonnegative integer: at most one
+    leading ``+``, then decimal digits.  None for any other text."""
+    digits = text.removeprefix("+")
+    return digits if digits.isdecimal() else None
+
+
 def _count(text: str) -> int | None:
-    """The integer a vertex count or builtin parameter spells: at most one
-    leading ``+``, then decimal digits.  None for any other text.
+    """The integer a vertex count or builtin parameter spells, by `_digits`;
+    None for any other text.
 
     int() refuses more than 4300 digits, leading zeros included, so the
     zeros are dropped first, and more than 20 significant digits get the
     cap message before any conversion; the message then echoes no digits.
     """
-    digits = text.removeprefix("+")
-    if not digits.isdecimal():
+    digits = _digits(text)
+    if digits is None:
         return None
     digits = digits.lstrip("0")
     if len(digits) > 20:
@@ -221,13 +234,14 @@ def parse_edge_list(text: str) -> PatternGraph:
             raise ValueError(
                 f"cannot parse edge list line {_excerpt(line.strip())}: expected 'u v'"
             )
+        u, v = map(_digits, tokens)
         try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
+            # int(None) is a TypeError; int() refuses more than 4300 digits
+            edges.append((int(u), int(v)))
+        except (TypeError, ValueError):
             raise ValueError(
                 f"cannot parse edge list line {_excerpt(line.strip())}: expected integers"
             ) from None
-        edges.append((u, v))
     return PatternGraph(k, edges)
 
 
@@ -266,11 +280,11 @@ def builtin(name: str) -> PatternGraph:
         family, _, tail = key.partition(":")
         if family not in _FAMILIES:
             raise ValueError(f"unknown pattern family {_excerpt(family)} in {_excerpt(name)}")
-        if not tail.isdecimal():
+        size = _count(tail)
+        if size is None:
             raise ValueError(
                 f"pattern parameter in {_excerpt(name)} must be a positive integer"
             )
-        size = _count(tail)
         if size < 1:
             raise ValueError(f"pattern parameter in {_excerpt(name)} must be >= 1")
     else:

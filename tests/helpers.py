@@ -1,5 +1,6 @@
 """Shared test fixtures: frozen golden coefficients, independent oracles,
-pattern writers, a subgraph counter and a few named 8-vertex patterns.
+pattern writers, a subgraph counter, a few named 8-vertex patterns and a
+runner for code in a fresh interpreter.
 
 The golden coefficient tables below are frozen reference values for the six
 builtin patterns (ascending degree order, entry i = coefficient of n**i).
@@ -10,9 +11,14 @@ repeated-multiplication implementation.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
+import motifmoments
 from motifmoments import PatternGraph, RationalPolynomial, automorphism_count
 from motifmoments.oracle import _edge_prefix_lists, _ordered_embedding_count
 
@@ -111,6 +117,17 @@ def parse_human(text: str) -> RationalPolynomial:
     for degree, value in by_degree.items():
         out[degree] = value
     return RationalPolynomial(out)
+
+
+def run_child(code: str, *args: str, stdin: str = "") -> str:
+    """stdout of ``python -S -c code args`` importing the package under test.
+    -S, because a site .pth file may preload any module."""
+    src = str(Path(motifmoments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        input=stdin, capture_output=True, text=True, check=True, env=env,
+    ).stdout
 
 
 def to_adjacency_text(pattern: PatternGraph) -> str:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from motifmoments import RationalPolynomial, builtin, variance_poly
 from motifmoments.cli import format_human, format_matrix_csv, main, parse_pattern_text
 
-from helpers import parse_human
+from helpers import parse_human, run_child
 
 F = Fraction
 
@@ -311,18 +311,44 @@ def test_verify_cap_checked_before_any_work(capsys, monkeypatch):
 
 
 def test_verify_mismatch_exits_one(capsys, monkeypatch):
-    import motifmoments.cli as cli_module
+    import motifmoments.oracle as oracle_module
     from motifmoments.oracle import VerificationCheck, VerificationReport
 
     def fake_verify(pattern_a, pattern_b, n_values, node_cap=6, workers=1):
         checks = (VerificationCheck(3, "variance", F(1, 8), F(7, 64)),)
         return VerificationReport(pattern_a, pattern_b, checks)
 
-    monkeypatch.setattr(cli_module, "verify", fake_verify)
+    monkeypatch.setattr(oracle_module, "verify", fake_verify)
     code, out, _ = run(capsys, "verify", "--builtin", "triangle", "--n", "3")
     assert code == 1
     assert "MISMATCH (engine 1/8, oracle 7/64)" in out
     assert "FAILED: 1 of 1 n values failed" in out
+
+
+ENGINE = {"motifmoments.moments", "motifmoments.symmetry", "motifmoments.oracle"}
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,status,unloaded",
+    [
+        (["builtins"], "", 0, ENGINE),
+        (["mean", "--builtin", "nope"], "", 2, ENGINE),
+        (["var", "--stdin"], "0 1\n0 0\n", 2, ENGINE),
+        (["mean", "--stdin"], "9\n0 1\n", 2, ENGINE),
+        (["mean", "--builtin", "triangle"], "", 0, {"motifmoments.oracle"}),
+        (["var", "--builtin", "triangle"], "", 0, {"motifmoments.oracle"}),
+        (["cov", "--builtin", "triangle"], "", 0, {"motifmoments.oracle"}),
+    ],
+    ids=["builtins", "unknown-builtin", "asymmetric-matrix", "nine-vertices", "mean", "var", "cov"],
+)
+def test_commands_load_only_the_modules_they_run(argv, stdin, status, unloaded):
+    code = (
+        "import sys; from motifmoments.cli import main; status = main(sys.argv[1:]); "
+        "print(status, *sorted(m for m in sys.modules if m.startswith('motifmoments')))"
+    )
+    last = run_child(code, *argv, stdin=stdin).splitlines()[-1].split()
+    assert int(last[0]) == status
+    assert "motifmoments.cli" in last and not unloaded & set(last)
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

@@ -1,13 +1,9 @@
 """Moment engine: golden polynomials, structural invariants, argument checks."""
 
 import inspect
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +29,7 @@ from helpers import (
     GOLDEN_MEANS,
     GOLDEN_VARIANCES,
     falling_from_roots,
+    run_child,
 )
 
 F = Fraction
@@ -331,20 +328,50 @@ def test_symmetric_variance_builds_one_table_pass(monkeypatch, name, passes):
 
 
 def test_import_starts_no_process_machinery():
-    """Importing the package and its CLI loads no process pool and none of the
-    heavier standard modules it used to.  The child runs with -S, because a
-    site .pth file may preload any of them."""
+    """Importing the package and its CLI, and reading a name that loads the
+    library, loads no process pool and none of the heavier standard modules
+    it used to.  The child runs with -S, because a site .pth file may
+    preload any of them."""
     code = (
-        "import sys, motifmoments, motifmoments.cli; "
+        "import sys, motifmoments, motifmoments.cli; motifmoments.verify; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
         "('concurrent', 'multiprocessing', 'dataclasses', 'inspect', 'typing')))"
     )
-    src = str(Path(motifmoments.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    assert out.strip() == "[]"
+    assert run_child(code).strip() == "[]"
+
+
+def test_import_loads_no_module_until_a_name_is_read():
+    """`import motifmoments` loads none of the package's modules; the first
+    exported name read loads them and binds every exported name."""
+    code = (
+        "import sys, motifmoments as mm; "
+        "print(sorted(m for m in sys.modules if m.startswith('motifmoments'))); "
+        "mm.mean_poly; "
+        "print(sorted(m for m in sys.modules if m.startswith('motifmoments'))); "
+        "print(all(name in vars(mm) for name in mm.__all__))"
+    )
+    assert run_child(code).splitlines() == [
+        "['motifmoments']",
+        "['motifmoments', 'motifmoments.algebra', 'motifmoments.moments', "
+        "'motifmoments.oracle', 'motifmoments.pattern', 'motifmoments.symmetry']",
+        "True",
+    ]
+
+
+def test_package_names_are_the_objects_of_their_modules():
+    modules = [
+        getattr(motifmoments, name) for name in ("algebra", "pattern", "symmetry", "moments", "oracle")
+    ]
+    for name in motifmoments.__all__:
+        homes = [module for module in modules if name in vars(module)]
+        assert homes, name
+        assert all(vars(module)[name] is vars(motifmoments)[name] for module in homes), name
+    assert set(motifmoments.__all__) <= set(dir(motifmoments))
+    namespace: dict = {}
+    exec("from motifmoments import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(motifmoments.__all__)
+    with pytest.raises(AttributeError, match="module 'motifmoments' has no attribute 'nope'"):
+        motifmoments.nope
 
 
 @st.composite

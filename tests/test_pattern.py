@@ -63,6 +63,21 @@ def test_edge_list_count_takes_one_plus_and_leading_zeros(header):
     assert parse_pattern_text(f"{header}\n0 1\n1 2") == parse_edge_list("3\n0 1\n1 2")
 
 
+def test_edge_list_endpoints_are_spelled_like_the_count():
+    assert parse_edge_list("3\n+0 +2\n001 2") == parse_edge_list("3\n0 2\n1 2")
+    for line in ("0 0_2", "-0 2", "0 -1", "0 2.0"):
+        with pytest.raises(ValueError, match="expected integers"):
+            parse_edge_list(f"3\n{line}")
+    # past the count's 20 digits an endpoint is still just out of range
+    with pytest.raises(ValueError, match="out of range"):
+        parse_edge_list("3\n0 " + "1" * 30)
+
+
+@pytest.mark.parametrize("parameter", ["3", "+3", "003", "+003"])
+def test_builtin_parameter_is_spelled_like_the_count(parameter):
+    assert builtin(f"path:{parameter}") == builtin("path:3")
+
+
 def test_parse_edge_list_rejections():
     with pytest.raises(ValueError, match="out of range"):
         parse_edge_list("2\n0 2")
