@@ -1,9 +1,13 @@
 """Exhaustive ground truth for subgraph-count moments at tiny sizes.
 
 Every labeled graph on n nodes is enumerated (they are equally likely under
-edge probability 1/2) and pattern occurrences are counted per graph by
-injective-map backtracking, so the moments come straight from their
-definition as averages over all 2^C(n,2) graphs.  Beyond the PatternGraph
+edge probability 1/2), so the moments come straight from their definition
+as averages over all 2^C(n,2) graphs.  A graph is a bitmask over the node
+pairs in row-major upper-triangle order.  Copies are counted in every graph
+at once: each injective map of a pattern's vertices into the nodes is
+tallied under the mask of the pairs it puts the pattern's edges on, and one
+subset-sum pass over the pair bits turns that tally into, for every graph
+G, the number of maps whose mask lies inside G.  Beyond the PatternGraph
 type, Fraction scalars and the automorphism count, `exact_moments` shares
 nothing with the polynomial engine: exact agreement between the two is
 meaningful evidence that both are right.  `verify` calls the engine's
@@ -12,9 +16,12 @@ meaningful evidence that both are right.  `verify` calls the engine's
 
 from __future__ import annotations
 
+import sys
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
+from itertools import combinations, permutations
+from operator import add, mul
 
 from .algebra import _Record, poly_eval_exact
 from .moments import covariance_poly
@@ -55,42 +62,42 @@ class VerificationReport(_Record):
         return all(check.matches for check in self.checks)
 
 
-def _edge_prefix_lists(pattern: PatternGraph) -> list[list[int]]:
-    """For each pattern vertex, its already-placed (smaller-index) neighbors."""
-    earlier: list[list[int]] = [[] for _ in range(pattern.vertex_count)]
-    for u, v in pattern.edges:
-        earlier[v].append(u)
-    return earlier
-
-
-def _ordered_embedding_count(
-    adjacency: Sequence[int], node_count: int, k: int, earlier: Sequence[Sequence[int]]
-) -> int:
-    """Injective maps of the pattern's vertices onto graph nodes that put
-    every pattern edge on a graph edge (ordered, i.e. not divided by the
-    automorphism count)."""
-    if k > node_count:
-        return 0
-    full = (1 << node_count) - 1
-    count = 0
-    image = [0] * k
-
-    def place(depth: int, used: int) -> None:
-        nonlocal count
-        candidates = full & ~used
-        for u in earlier[depth]:
-            candidates &= adjacency[image[u]]
-        if depth == k - 1:
-            count += candidates.bit_count()
-            return
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            image[depth] = low.bit_length() - 1
-            place(depth + 1, used | low)
-
-    place(0, 0)
-    return count
+def _ordered_counts(pattern: PatternGraph, n: int) -> list[int]:
+    """Entry G, for every graph G on nodes 0..n-1 as a pair bitmask: the
+    injective maps of the pattern's vertices into the nodes that put every
+    pattern edge on an edge of G (ordered, i.e. not divided by the
+    automorphism count).  Empty when the pattern has more vertices than n,
+    since then no graph holds a copy."""
+    if pattern.vertex_count > n:
+        return []
+    bit = [[0] * n for _ in range(n)]
+    for index, (u, v) in enumerate(combinations(range(n), 2)):
+        bit[u][v] = bit[v][u] = 1 << index
+    size = 1 << (n * (n - 1) // 2)
+    counts = [0] * size
+    for image in permutations(range(n), pattern.vertex_count):
+        mask = 0
+        for u, v in pattern.edges:
+            mask |= bit[image[u]][image[v]]
+        counts[mask] += 1
+    # subset sums, one pair bit at a time: adding each entry without the bit
+    # into its partner with the bit leaves counts[G] = the tally summed over
+    # every mask inside G.  Each slice runs its additions in C; while the
+    # bit's step is small, a few long strided slices cover the table, and
+    # after that a few long contiguous blocks do
+    step = 1
+    while step < size:
+        stride = 2 * step
+        if step * step < size:
+            for low in range(step):
+                high = slice(low + step, size, stride)
+                counts[high] = map(add, counts[high], counts[low::stride])
+        else:
+            for start in range(0, size, stride):
+                high = slice(start + step, start + stride)
+                counts[high] = map(add, counts[high], counts[start : start + step])
+        step = stride
+    return counts
 
 
 def _check_node_cap(n: int, node_cap: int) -> None:
@@ -123,11 +130,19 @@ def _check_enumeration_size(n: int, node_cap: int) -> None:
     """Reject enumerations past the cap; warn when the raised cap is used."""
     _check_node_cap(n, node_cap)
     if n > DEFAULT_NODE_CAP:
+        # the warning names the nearest caller outside this module, the line
+        # that called `exact_moments` or `verify`
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals is globals():
+            frame, level = frame.f_back, level + 1
         pair_count = n * (n - 1) // 2
+        # the cost is measured at n = 7, the only n past the default cap
+        # (2-vCPU Xeon, Python 3.11): 1.2-2.6 s and a 55-71 MB peak on
+        # builtin patterns and pairs
         warnings.warn(
             f"enumerating 2**{pair_count} = {2**pair_count} labeled graphs on "
-            f"{n} nodes; this can take minutes",
-            stacklevel=3,
+            f"{n} nodes; this takes about 1-3 s and up to 75 MB per n",
+            stacklevel=level,
         )
 
 
@@ -139,34 +154,18 @@ def exact_moments(
 ) -> OracleResult:
     """Exact count moments at a fixed n by enumerating all labeled graphs."""
     _check_enumeration_size(n, node_cap)
-    pair_count = n * (n - 1) // 2
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     same = pattern_a == pattern_b
-    k_a, k_b = pattern_a.vertex_count, pattern_b.vertex_count
-    earlier_a = _edge_prefix_lists(pattern_a)
-    earlier_b = _edge_prefix_lists(pattern_b)
+    ordered_a = _ordered_counts(pattern_a, n)
+    ordered_b = ordered_a if same else _ordered_counts(pattern_b, n)
+    # map stops at the shorter list, so a pattern too large for n (an empty
+    # list) makes the product sum 0
+    total_product = sum(map(mul, ordered_a, ordered_b))
 
-    total_a = total_b = total_product = 0
-    for mask in range(1 << pair_count):
-        adjacency = [0] * n
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            u, v = pairs[low.bit_length() - 1]
-            adjacency[u] |= 1 << v
-            adjacency[v] |= 1 << u
-        ordered_a = _ordered_embedding_count(adjacency, n, k_a, earlier_a)
-        ordered_b = ordered_a if same else _ordered_embedding_count(adjacency, n, k_b, earlier_b)
-        total_a += ordered_a
-        total_b += ordered_b
-        total_product += ordered_a * ordered_b
-
-    graphs = 1 << pair_count
+    graphs = 1 << (n * (n - 1) // 2)
     aut_a = automorphism_count(pattern_a)
     aut_b = aut_a if same else automorphism_count(pattern_b)
-    mean_a = Fraction(total_a, aut_a * graphs)
-    mean_b = Fraction(total_b, aut_b * graphs)
+    mean_a = Fraction(sum(ordered_a), aut_a * graphs)
+    mean_b = Fraction(sum(ordered_b), aut_b * graphs)
     second = Fraction(total_product, aut_a * aut_b * graphs)
     return OracleResult(
         n=n,

@@ -1,6 +1,7 @@
 """Shared test fixtures: frozen golden coefficients, independent oracles,
-pattern writers, a subgraph counter, a few named 8-vertex patterns and a
-runner for code in a fresh interpreter.
+pattern writers, a backtracking subgraph counter, isomorphism classes of
+small patterns, a few named 8-vertex patterns and a runner for code in a
+fresh interpreter.
 
 The golden coefficient tables below are frozen reference values for the six
 builtin patterns (ascending degree order, entry i = coefficient of n**i).
@@ -14,13 +15,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
-from itertools import permutations
+from functools import cache
+from itertools import combinations, permutations
 from pathlib import Path
 
 import motifmoments
 from motifmoments import PatternGraph, RationalPolynomial, automorphism_count
-from motifmoments.oracle import _edge_prefix_lists, _ordered_embedding_count
 
 F = Fraction
 
@@ -157,6 +159,34 @@ def cube() -> PatternGraph:
     return PatternGraph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
 
 
+@cache
+def isomorphism_classes(k):
+    """{representative: labelings} over every labeled pattern on k vertices,
+    as edge bitmasks over the pairs in `combinations` order; a class is
+    represented by its labeling with the smallest bitmask."""
+    pairs = list(combinations(range(k), 2))
+    index = {pair: j for j, pair in enumerate(pairs)}
+    representative = {}
+    for bits in range(1 << len(pairs)):
+        if bits in representative:
+            continue
+        edges = [pair for j, pair in enumerate(pairs) if bits >> j & 1]
+        for perm in permutations(range(k)):
+            image = sum(1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in edges)
+            representative.setdefault(image, bits)
+    classes = defaultdict(list)
+    for bits, rep in representative.items():
+        classes[rep].append(bits)
+    return pairs, classes
+
+
+def class_pattern(k, bits):
+    """The k-vertex pattern with the edges set in `bits`, over the pairs in
+    `combinations` order as in `isomorphism_classes`."""
+    pairs = combinations(range(k), 2)
+    return PatternGraph(k, [pair for j, pair in enumerate(pairs) if bits >> j & 1])
+
+
 def automorphisms_bruteforce(pattern: PatternGraph) -> list[tuple[int, ...]]:
     """Every automorphism, found by filtering all k! permutations;
     cross-validates the search."""
@@ -179,19 +209,48 @@ def mask_edges(node_count: int, mask: int) -> list[tuple[int, int]]:
     return [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
 
 
-def count_subgraphs(node_count: int, edges, pattern: PatternGraph) -> int:
-    """Copies of the pattern in the graph on nodes 0..node_count-1 with these
-    edges, non-induced (extra edges among the image nodes are fine).
-
-    Counts injective maps with the oracle's backtracking and divides by the
-    automorphism count; the division is exact, so a remainder fails."""
+def ordered_embedding_count(node_count: int, edges, pattern: PatternGraph) -> int:
+    """Injective maps of the pattern's vertices onto nodes 0..node_count-1
+    that put every pattern edge on one of these edges (ordered, i.e. not
+    divided by the automorphism count), by backtracking: vertex i is placed
+    on a free node adjacent to the images of its smaller-index neighbours."""
     adjacency = [0] * node_count
     for u, v in edges:
         adjacency[u] |= 1 << v
         adjacency[v] |= 1 << u
-    ordered = _ordered_embedding_count(
-        adjacency, node_count, pattern.vertex_count, _edge_prefix_lists(pattern)
-    )
+    k = pattern.vertex_count
+    if k > node_count:
+        return 0
+    earlier: list[list[int]] = [[] for _ in range(k)]
+    for u, v in pattern.edges:
+        earlier[v].append(u)
+    full = (1 << node_count) - 1
+    image = [0] * k
+
+    def place(depth: int, used: int) -> int:
+        candidates = full & ~used
+        for u in earlier[depth]:
+            candidates &= adjacency[image[u]]
+        if depth == k - 1:
+            return candidates.bit_count()
+        count = 0
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            image[depth] = low.bit_length() - 1
+            count += place(depth + 1, used | low)
+        return count
+
+    return place(0, 0)
+
+
+def count_subgraphs(node_count: int, edges, pattern: PatternGraph) -> int:
+    """Copies of the pattern in the graph on nodes 0..node_count-1 with these
+    edges, non-induced (extra edges among the image nodes are fine).
+
+    Counts injective maps with `ordered_embedding_count` and divides by the
+    automorphism count; the division is exact, so a remainder fails."""
+    ordered = ordered_embedding_count(node_count, edges, pattern)
     copies, remainder = divmod(ordered, automorphism_count(pattern))
     assert remainder == 0, f"{ordered} ordered embeddings, |Aut| = {automorphism_count(pattern)}"
     return copies

@@ -37,7 +37,7 @@ from motifmoments import (
 )
 from motifmoments.moments import _mask_tables, _sums_by_edge_sets, _sums_by_tuples, _tuple_count
 
-from helpers import cube, disjoint_union
+from helpers import class_pattern, cube, disjoint_union, isomorphism_classes
 from reference_engine import reference_covariance, reference_second_moment
 
 FIXED_BUILTINS = builtin_names()
@@ -180,27 +180,6 @@ def test_truncated_tuple_tables_match_enumeration():
         expected = tables_by_enumeration(pattern, top, ordered=True)
         for depth in range(1, top + 1):
             assert _mask_tables(pattern, depth, aut) == expected[: depth + 1], (pattern, depth)
-
-
-@cache
-def isomorphism_classes(k):
-    """{representative: labelings} over every labeled pattern on k vertices,
-    as edge bitmasks over the pairs in `combinations` order; a class is
-    represented by its labeling with the smallest bitmask."""
-    pairs = list(combinations(range(k), 2))
-    index = {pair: j for j, pair in enumerate(pairs)}
-    representative = {}
-    for bits in range(1 << len(pairs)):
-        if bits in representative:
-            continue
-        edges = [pair for j, pair in enumerate(pairs) if bits >> j & 1]
-        for perm in permutations(range(k)):
-            image = sum(1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in edges)
-            representative.setdefault(image, bits)
-    classes = defaultdict(list)
-    for bits, rep in representative.items():
-        classes[rep].append(bits)
-    return pairs, classes
 
 
 def test_variance_matches_reference_on_every_labeled_pattern_k5():
@@ -398,13 +377,6 @@ def submasks(bits):
         if not sub:
             return
         sub = (sub - 1) & bits
-
-
-def class_pattern(k, bits):
-    """The k-vertex pattern with the edges set in `bits`, over the pairs in
-    `combinations` order as in `isomorphism_classes`."""
-    pairs = combinations(range(k), 2)
-    return PatternGraph(k, [pair for j, pair in enumerate(pairs) if bits >> j & 1])
 
 
 @cache

@@ -1,5 +1,6 @@
 """Exhaustive-enumeration oracle: counting, moments, engine certification."""
 
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -8,21 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motifmoments.cli
 import motifmoments.oracle as oracle_module
 from motifmoments import (
     PatternGraph,
     builtin,
     exact_moments,
     relabel,
+    variance_poly,
     verify,
 )
+from motifmoments.cli import main
 from motifmoments.oracle import (
     VerificationCheck,
     VerificationReport,
     _check_enumeration_size,
+    _ordered_counts,
 )
 
-from helpers import count_subgraphs, mask_edges
+from helpers import (
+    class_pattern,
+    count_subgraphs,
+    isomorphism_classes,
+    mask_edges,
+    ordered_embedding_count,
+)
 
 F = Fraction
 
@@ -94,6 +105,42 @@ def test_adding_an_edge_never_decreases_counts(mask, extra_bit):
         )
 
 
+# every pattern on at most 4 vertices, one per isomorphism class
+# (as k-vertex pattern:edge bits in `combinations` order), and the 5-vertex
+# builtins
+COUNTED_PATTERNS = {
+    **{
+        f"{k}:{bits}": class_pattern(k, bits)
+        for k in range(1, 5)
+        for bits in isomorphism_classes(k)[1]
+    },
+    **{name: builtin(name) for name in ("path:5", "star:4", "cycle:5", "clique:5")},
+}
+
+
+@pytest.mark.parametrize("pattern", COUNTED_PATTERNS.values(), ids=COUNTED_PATTERNS)
+def test_per_graph_counts_match_backtracking(pattern):
+    # every graph on n <= 5 nodes, and a seeded sample of the 2**15 on 6
+    graphs = [(n, mask) for n in range(6) for mask in range(1 << n * (n - 1) // 2)]
+    graphs += [(6, mask) for mask in random.Random(6).sample(range(1 << 15), 200)]
+    tables = {n: _ordered_counts(pattern, n) for n in range(7)}
+    for n, mask in graphs:
+        expected = ordered_embedding_count(n, mask_edges(n, mask), pattern)
+        if pattern.vertex_count > n:
+            assert tables[n] == [] and expected == 0
+        else:
+            assert tables[n][mask] == expected, (n, mask)
+
+
+@pytest.mark.parametrize("bits", isomorphism_classes(4)[1])
+def test_oracle_pins_the_variance_of_every_4_vertex_graph(bits):
+    # the variance is (n)_4 Q(n) with deg Q = 2, so its degree is at most 6;
+    # the oracle's zeros at n = 0..3 and its values at n = 4, 5, 6 then fix it
+    pattern = class_pattern(4, bits)
+    assert variance_poly(pattern).covariance.degree <= 6
+    assert verify(pattern, pattern, range(7)).all_match
+
+
 def test_exact_moments_triangle_n3():
     result = exact_moments(builtin("triangle"), builtin("triangle"), 3)
     assert result.mean_a == F(1, 8)
@@ -131,6 +178,16 @@ def test_enumeration_caps():
     with pytest.raises(ValueError, match=">= 0"):
         _check_enumeration_size(-1, node_cap=6)
     _check_enumeration_size(6, node_cap=6)  # at the cap: no error, no warning
+
+
+def test_raised_cap_warning_names_the_callers_line():
+    # clique:8 does not fit on 7 nodes, so no table is built
+    clique = builtin("clique:8")
+    with pytest.warns(UserWarning, match="labeled graphs on 7 nodes") as record:
+        exact_moments(clique, clique, 7, node_cap=7)
+        assert verify(clique, clique, [7], node_cap=7).all_match
+        assert main(["verify", "--builtin", "clique:8", "--n", "7", "--oracle-cap", "7"]) == 0
+    assert [r.filename for r in record] == [__file__, __file__, motifmoments.cli.__file__]
 
 
 @pytest.mark.parametrize("n", [200, 3000])
