@@ -19,7 +19,6 @@ from motifmoments import (
     variance_poly,
     verify,
 )
-from motifmoments.cli import main
 from motifmoments.oracle import (
     VerificationCheck,
     VerificationReport,
@@ -105,9 +104,8 @@ def test_adding_an_edge_never_decreases_counts(mask, extra_bit):
         )
 
 
-# every pattern on at most 4 vertices, one per isomorphism class
-# (as k-vertex pattern:edge bits in `combinations` order), and the 5-vertex
-# builtins
+# every pattern on at most 4 vertices, one per isomorphism class (id k:bits,
+# its edges over the pairs in `combinations` order), and the 5-vertex builtins
 COUNTED_PATTERNS = {
     **{
         f"{k}:{bits}": class_pattern(k, bits)
@@ -186,7 +184,8 @@ def test_raised_cap_warning_names_the_callers_line():
     with pytest.warns(UserWarning, match="labeled graphs on 7 nodes") as record:
         exact_moments(clique, clique, 7, node_cap=7)
         assert verify(clique, clique, [7], node_cap=7).all_match
-        assert main(["verify", "--builtin", "clique:8", "--n", "7", "--oracle-cap", "7"]) == 0
+        argv = ["verify", "--builtin", "clique:8", "--n", "7", "--oracle-cap", "7"]
+        assert motifmoments.cli.main(argv) == 0
     assert [r.filename for r in record] == [__file__, __file__, motifmoments.cli.__file__]
 
 
