@@ -36,14 +36,18 @@ pattern with fewer edges and Q the other, and u = |V(J)|,
     sum_{S,t} 2^c = sum_{J subset E(P)} emb(J -> Q) * C(kP-u, i-u) * (kQ-u)_{i-u}
 
 where emb(J -> Q) counts the injective maps that send J's edges to edges of
-Q.  This costs 2^(eP) embedding counts and does not grow with k!.
+Q.  This costs 2^(eP) embedding counts and does not grow with k!.  Each
+count is taken modulo Aut Q as the tuple pass is: maps that differ by an
+automorphism fixing the images placed so far have as many completions, so
+one per orbit is followed.
 
-The engine takes the edge-set order when 3.5 * 2^(eP) * k^2 is below
-e * k! / |Aut| for the tuple side's k, e and |Aut|: sparse patterns with
-little symmetry, such as path:7 and path:8.  Both orders give the same
-integers.  All arithmetic is exact integer counting until one rational
-scale per polynomial at the end; `covariance_poly` subtracts the product
-of the means from the second moment in integers over the same scale.
+The engine takes the edge-set order when 7 * 2^(eP) * eP^2 * (1 + kQ/|Aut Q|)
+is below 20 * (e * k! / |Aut| + 50) for the tuple side's k, e and |Aut|:
+sparse pairs, such as the variances of path:7, cycle:8 and of every pattern
+with at most 5 vertices and 3 edges.  Both orders give the same integers.
+All arithmetic is exact integer counting until one rational scale per
+polynomial at the end; `covariance_poly` subtracts the product of the means
+from the second moment in integers over the same scale.
 """
 
 from __future__ import annotations
@@ -172,8 +176,8 @@ def _overlap_sums(
     """
     if pattern_b.vertex_count > pattern_a.vertex_count:
         pattern_a, pattern_b, aut_a, aut_b = pattern_b, pattern_a, aut_b, aut_a
-    if _edge_sets_cheaper(pattern_a, pattern_b, aut_b):
-        return _sums_by_edge_sets(pattern_a, pattern_b)
+    if _edge_sets_cheaper(pattern_a, pattern_b, aut_a, aut_b):
+        return _sums_by_edge_sets(pattern_a, pattern_b, aut_a, aut_b)
     return _sums_by_tuples(pattern_a, pattern_b, aut_a, aut_b)
 
 
@@ -200,17 +204,22 @@ def _sums_by_tuples(
     return sums
 
 
-def _sums_by_edge_sets(pattern_a: PatternGraph, pattern_b: PatternGraph) -> list[int]:
+def _sums_by_edge_sets(
+    pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
+) -> list[int]:
     """The overlap sums taken over the sets J of common edges (see the module
     docstring): J fixes the images of its u vertices, and the other i - u
     vertices of S are any of P's remaining vertices, placed in order on any
     of Q's.  emb(J -> Q) is memoised per J relabelled in order of first
-    appearance.
+    appearance, and counted modulo Aut Q (aut_a, aut_b: the two groups'
+    orders), with the orbits of its point stabilisers found once per call.
     """
     if pattern_a.edge_count > pattern_b.edge_count:
-        pattern_a, pattern_b = pattern_b, pattern_a
+        pattern_a, pattern_b, aut_b = pattern_b, pattern_a, aut_a
     edges = pattern_a.sorted_edges()
     adjacent = _adjacency(pattern_b)
+    twins = _twin_classes(adjacent) if aut_b > 1 else []
+    orbits: dict[int, dict[int, int]] = {}  # by the placed images' set, for every J
     k_a, k_b = pattern_a.vertex_count, pattern_b.vertex_count
     by_size = [0] * (k_a + 1)  # sum of emb(J -> Q) over the J with u vertices
     memo: dict[tuple[tuple[int, int], ...], int] = {}
@@ -222,7 +231,7 @@ def _sums_by_edge_sets(pattern_a: PatternGraph, pattern_b: PatternGraph) -> list
             if bits >> j & 1
         )
         if key not in memo:
-            memo[key] = _embedding_count(key, len(label), adjacent)
+            memo[key] = _embedding_count(key, len(label), adjacent, aut_b, twins, orbits)
         by_size[len(label)] += memo[key]
     depth = min(k_a, k_b)
     return [
@@ -231,8 +240,15 @@ def _sums_by_edge_sets(pattern_a: PatternGraph, pattern_b: PatternGraph) -> list
     ]
 
 
-def _embedding_count(edges: tuple[tuple[int, int], ...], u: int, adjacent: list[int]) -> int:
-    """Injective maps of vertices 0..u-1 into the graph with neighbour masks
+def _embedding_count(
+    edges: tuple[tuple[int, int], ...],
+    u: int,
+    adjacent: list[int],
+    aut: int,
+    twins: list[int],
+    orbits: dict[int, dict[int, int]],
+) -> int:
+    """Injective maps of vertices 0..u-1 into the graph Q with neighbour masks
     `adjacent` that send every edge to an edge.
 
     The vertices are placed one component after another, each in depth-first
@@ -240,6 +256,17 @@ def _embedding_count(edges: tuple[tuple[int, int], ...], u: int, adjacent: list[
     and its candidates are the free common neighbours of those images.  At a
     component's first vertex the earlier components are complete, so the
     count of the rest depends only on the free vertices and is memoised.
+
+    The maps are counted modulo Aut Q (aut = |Aut Q|).  G_used, the
+    automorphisms fixing every placed image, maps the free common neighbours
+    of any of them onto themselves, so every candidate set is a union of its
+    orbits, and two candidates in one orbit have as many completions: one
+    representative per orbit is placed and counted orbit-size times.  As in
+    `_mask_tables` the weight, the product of those sizes, is aut / |G_used|;
+    once it reaches aut the stabiliser is trivial and every candidate is
+    placed.  The orbits, {least vertex: size}, are found from the twin
+    classes `twins` of Q and kept in `orbits` by the placed images' bitmask;
+    the caller shares that cache among the edge sets of one target only.
     """
     neighbours = [0] * u
     for x, y in edges:
@@ -259,8 +286,9 @@ def _embedding_count(edges: tuple[tuple[int, int], ...], u: int, adjacent: list[
     earlier = [[j for j in range(i) if neighbours[x] >> order[j] & 1] for i, x in enumerate(order)]
     images = [0] * u  # neighbour mask of each placed vertex's image
     memo: dict[tuple[int, int], int] = {}
+    full = (1 << len(adjacent)) - 1
 
-    def place(i: int, free: int) -> int:
+    def place(i: int, free: int, weight: int) -> int:
         if not earlier[i] and (i, free) in memo:
             return memo[i, free]
         candidates = free
@@ -269,29 +297,47 @@ def _embedding_count(edges: tuple[tuple[int, int], ...], u: int, adjacent: list[
         if i == u - 1:
             return candidates.bit_count()
         total = 0
-        while candidates:
-            low = candidates & -candidates
-            images[i] = adjacent[low.bit_length() - 1]
-            total += place(i + 1, free ^ low)
-            candidates ^= low
+        if weight < aut:
+            used = full ^ free
+            if used not in orbits:
+                orbits[used] = _orbits(adjacent, used, twins)
+            for w, orbit in orbits[used].items():
+                if candidates >> w & 1:
+                    images[i] = adjacent[w]
+                    total += orbit * place(i + 1, free ^ 1 << w, weight * orbit)
+        else:
+            while candidates:
+                low = candidates & -candidates
+                images[i] = adjacent[low.bit_length() - 1]
+                total += place(i + 1, free ^ low, weight)
+                candidates ^= low
         if not earlier[i]:
             memo[i, free] = total
         return total
 
-    return place(0, (1 << len(adjacent)) - 1) if u else 1
+    return place(0, full, 1) if u else 1
 
 
-# One edge subset of the edge-set order costs about as much time as
-# _SUBSET_COST * k^2 representatives of the tuple order, k being the tuple
-# side's vertex count.  Measured on variances, both orders timed (best of
-# 3-9 interleaved runs, 2-vCPU Intel Xeon, Python 3.11): each 4-, 5- and
-# 6-vertex class, 81 seeded 7- and 8-vertex patterns with 5-14 edges, and
-# path:7/8, cycle:7/8, star:6/7.  Weights from 3.4 to 4 lose the least: at
-# most 24 ms on a pattern, 0.19 s in all.  At 2 the k = 8, e = 11,
-# |Aut| = 1 patterns took the edge-set order (up to 0.32 s against 0.22 s),
-# losing 0.32 s in all; above 4, k = 7, e = 5, |Aut| = 4 ones take the
-# tuple order (8 ms against 0.9 ms).
-_SUBSET_COST = Fraction(7, 2)
+# One edge subset of the edge-set order costs about 7 e^2 (1 + kQ/|Aut Q|) / 20
+# representatives of the tuple order, e being the sparser pattern's edge count
+# and Q the other pattern: the subset's key takes e steps, its embedding count
+# grows with the subset, and Q's orbits cut it.  The tuple order also pays
+# _TUPLE_SET_UP representatives per call, for its tables and orbit searches.
+# Fitted on both orders timed in process (means of 5-15 interleaved runs,
+# garbage collection on, 2-vCPU Intel Xeon, Python 3.11.7) over 337 pairs:
+# every isomorphism class with k <= 6, path:7/8, cycle:7/8, star:7,
+# clique:7/8, four |Aut| = 1 six-vertex patterns with 8-9 edges, 20 |Aut| = 1
+# eight-vertex patterns with 6-9 edges, 71 seeded 7- and 8-vertex patterns
+# with 5-14 edges and 27 covariance pairs.  The faster order takes 4.65 s in
+# all; this rule loses 2.6 ms, at most 0.6 ms on one pair (an |Aut| = 1
+# six-vertex pattern with 6 edges: 1.8 ms by tuples against 1.2 ms).  The
+# rule it replaces, 3.5 * 2^e * k^2 tuple representatives, lost 129 ms, at
+# most 30 ms.  On 147 pairs drawn with other seeds this rule loses 6.3 ms of
+# 4.80 s, at most 5.0 ms, the old one 79 ms.  Timed as best of 3-9 runs with
+# garbage collection off instead, the two samples lose 19 and 39 ms (old: 212
+# and 118 ms).  cycle:7 sits on the boundary: its edge sets took 0.86-1.24
+# times its tuple time over the four samples.
+_TUPLE_SET_UP = 50
 
 
 def _tuple_count(pattern: PatternGraph, aut: int) -> int:
@@ -299,14 +345,20 @@ def _tuple_count(pattern: PatternGraph, aut: int) -> int:
     return pattern.edge_count * factorial(pattern.vertex_count) // aut
 
 
-def _edge_sets_cheaper(pattern_a: PatternGraph, pattern_b: PatternGraph, aut_b: int) -> bool:
-    """Whether the edge-set order should be cheaper than the tuple order,
-    for B (kB <= kA) on the tuple side: 2^e edge subsets of the sparser
-    pattern against about eB * kB! / |Aut B| tuple representatives."""
-    k = pattern_b.vertex_count
-    subsets = 2 ** min(pattern_a.edge_count, pattern_b.edge_count)
-    tuples = _tuple_count(pattern_b, aut_b)
-    return _SUBSET_COST.numerator * subsets * k * k < tuples * _SUBSET_COST.denominator
+def _edge_sets_cheaper(
+    pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
+) -> bool:
+    """Whether the edge-set order should be cheaper than the tuple order, for
+    B (kB <= kA) on the tuple side: 2^e edge subsets of the sparser pattern,
+    embedded in Q, the other (B on a tie, as `_sums_by_edge_sets` picks it),
+    against about eB * kB! / |Aut B| tuple representatives and a fixed
+    set-up (see the constant)."""
+    if pattern_a.edge_count > pattern_b.edge_count:
+        e, k_q, aut_q = pattern_b.edge_count, pattern_a.vertex_count, aut_a
+    else:
+        e, k_q, aut_q = pattern_a.edge_count, pattern_b.vertex_count, aut_b
+    tuples = _tuple_count(pattern_b, aut_b) + _TUPLE_SET_UP
+    return 7 * 2**e * e * e * (aut_q + k_q) < 20 * aut_q * tuples
 
 
 def second_moment_poly(pattern_a: PatternGraph, pattern_b: PatternGraph) -> RationalPolynomial:

@@ -4,9 +4,10 @@ Five routes: the engine's mask tables, of subsets and of ordered tuples
 (which it enumerates modulo the automorphism group), against tables counted
 selection by selection, at full depth and cut short as in a covariance; the
 engine's two summation orders, over tuples and over common edge sets,
-against each other, and the tuple order's subset side taken over ordered
-tuples (as the engine does for symmetric patterns) against the same side
-taken over subsets; exact agreement with the permutation-pair reference
+against each other, the edge-set order's embedding counts (taken modulo the
+target's automorphism group) against plain backtracking, and the tuple
+order's subset side taken over ordered tuples (as the engine does for
+symmetric patterns) against the same side taken over subsets; exact agreement with the permutation-pair reference
 engine (`reference_engine.py`) on every small pattern and a seeded sample
 of larger ones; the covariances of induced counts, transformed from the
 engine's over every 4- and 5-vertex class, against a brute force over
@@ -35,9 +36,22 @@ from motifmoments import (
     mean_poly,
     variance_poly,
 )
-from motifmoments.moments import _mask_tables, _sums_by_edge_sets, _sums_by_tuples, _tuple_count
+from motifmoments.moments import (
+    _embedding_count,
+    _mask_tables,
+    _sums_by_edge_sets,
+    _sums_by_tuples,
+    _tuple_count,
+)
+from motifmoments.symmetry import _adjacency, _twin_classes
 
-from helpers import class_pattern, cube, disjoint_union, isomorphism_classes
+from helpers import (
+    class_pattern,
+    cube,
+    disjoint_union,
+    isomorphism_classes,
+    ordered_embedding_count,
+)
 from reference_engine import reference_covariance, reference_second_moment
 
 FIXED_BUILTINS = builtin_names()
@@ -196,17 +210,61 @@ def test_variance_matches_reference_on_every_labeled_pattern_k5():
             assert variance_poly(pattern(bits)).covariance == expected, pattern(bits)
 
 
+def relabelled_keys(pattern):
+    """The distinct edge subsets J of the pattern, each relabelled in order of
+    first appearance as `_sums_by_edge_sets` keys them: {key: vertex count}."""
+    edges = pattern.sorted_edges()
+    keys = {}
+    for bits in range(1 << len(edges)):
+        label = {}
+        key = tuple(
+            (label.setdefault(x, len(label)), label.setdefault(y, len(label)))
+            for j, (x, y) in enumerate(edges)
+            if bits >> j & 1
+        )
+        keys[key] = len(label)
+    return keys
+
+
+EMBEDDING_TARGETS = {
+    **{f"cycle:{k}": builtin(f"cycle:{k}") for k in range(5, 9)},
+    **{f"star:{k}": builtin(f"star:{k}") for k in range(4, 8)},
+    "K3,3": PatternGraph(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    "two triangles": disjoint_union(builtin("triangle"), builtin("triangle")),
+    "square+square": disjoint_union(builtin("square"), builtin("square")),
+    "path:7": builtin("path:7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDING_TARGETS))
+def test_embedding_counts_modulo_the_target_group_match_backtracking(name):
+    # the keys of the target's own edge subsets and of k4's, which hold
+    # triangles; one orbit cache serves every key of the target, as in a call
+    target = EMBEDDING_TARGETS[name]
+    aut = automorphism_count(target)
+    adjacent = _adjacency(target)
+    twins, orbits = _twin_classes(adjacent), {}
+    keys = {**relabelled_keys(target), **relabelled_keys(builtin("k4"))}
+    del keys[()]  # the empty J has the one empty map
+    assert _embedding_count((), 0, adjacent, aut, twins, orbits) == 1
+    for key, u in keys.items():
+        expected = ordered_embedding_count(target.vertex_count, target.edges, PatternGraph(u, key))
+        assert _embedding_count(key, u, adjacent, aut, twins, orbits) == expected, (name, key)
+
+
 def assert_orders_agree(pattern_a, pattern_b):
     """Both summation orders give the same overlap sums, for both argument
     orders of the edge-set order (the tuple order takes the pattern with
-    fewer vertices second)."""
+    fewer vertices second).  The edge-set order counts its embeddings modulo
+    the target's automorphism group."""
     if pattern_b.vertex_count > pattern_a.vertex_count:
         pattern_a, pattern_b = pattern_b, pattern_a
     auts = automorphism_count(pattern_a), automorphism_count(pattern_b)
     tuples = _sums_by_tuples(pattern_a, pattern_b, *auts)
-    assert _sums_by_edge_sets(pattern_a, pattern_b) == tuples, (pattern_a, pattern_b)
+    assert _sums_by_edge_sets(pattern_a, pattern_b, *auts) == tuples, (pattern_a, pattern_b)
     if pattern_b != pattern_a:
-        assert _sums_by_edge_sets(pattern_b, pattern_a) == tuples, (pattern_a, pattern_b)
+        reverse = _sums_by_edge_sets(pattern_b, pattern_a, *reversed(auts))
+        assert reverse == tuples, (pattern_a, pattern_b)
 
 
 def test_summation_orders_agree_on_every_6_vertex_class_up_to_10_edges():
@@ -248,6 +306,8 @@ ISOLATED = {
         ("path:7", "k7 2K2"),
         ("cycle:6", "k6 P4"),
         ("square", "k5 P3"),
+        ("star:5", "cycle:8"),
+        ("cycle:5", "path:8"),
     ],
 )
 def test_summation_orders_agree_on_mixed_pairs(name_a, name_b):
@@ -440,8 +500,18 @@ def induced_covariances(k):
     return induced, scale
 
 
-def brute_force_induced_covariance(k, tables_h, tables_k, aut_h, aut_k, n):
-    """Cov(I_H, I_K) at n from ordered tuples counted over permutations.
+def matching_overlaps(k, tables_h, tables_k):
+    """matches[i]: pairs of an i-subset of H and an i-tuple of K with one
+    slot-pair mask, from tuple tables counted over permutations; the tables
+    start at i = 1, and the empty tuples match once."""
+    return [1] + [
+        sum(count * tables_k[i][mask] for mask, count in tables_h[i].items()) // factorial(i)
+        for i in range(1, k + 1)
+    ]
+
+
+def brute_force_induced_covariance(k, matches, aut_h, aut_k, n):
+    """Cov(I_H, I_K) at n, from `matching_overlaps` of H and K.
 
     Maps phi of H and psi of K into the n nodes that share i nodes, where an
     i-tuple of H's vertices meets an i-tuple of K's, number (n)_k (n-k)_{k-i}
@@ -452,22 +522,18 @@ def brute_force_induced_covariance(k, tables_h, tables_k, aut_h, aut_k, n):
     if n < k:
         return Fraction(0)
     square = aut_h * aut_k * 2 ** (k * (k - 1))
-    # matches[i]: pairs of an i-subset of H and an i-tuple of K with one mask;
-    # the tables start at i = 1, and the empty tuples match once
-    matches = [1] + [
-        sum(count * tables_k[i][mask] for mask, count in tables_h[i].items()) // factorial(i)
-        for i in range(1, k + 1)
-    ]
     second = sum(
         (perm(n, k) * perm(n - k, k - i) << i * (i - 1) // 2) * matches[i] for i in range(k + 1)
     )
     return Fraction(second, square) - Fraction(perm(n, k) ** 2, square)
 
 
+# k = 6, all 12,246 covariances of the 156 classes, runs as a CI step of its
+# own: both tests below called with k = 6.
 @pytest.mark.parametrize("k", [4, 5])
 def test_induced_covariances_match_brute_force(k):
     _, classes = isomorphism_classes(k)
-    assert len(classes) == {4: 11, 5: 34}[k]
+    assert len(classes) == {4: 11, 5: 34, 6: 156}[k]
     induced, scale = induced_covariances(k)
     sides = {
         rep: (tuple_tables_by_permutations(class_pattern(k, rep)), factorial(k) // len(labelings))
@@ -475,8 +541,9 @@ def test_induced_covariances_match_brute_force(k):
     }
     for (h, other), values in induced.items():
         (tables_h, aut_h), (tables_k, aut_k) = sides[h], sides[other]
+        matches = matching_overlaps(k, tables_h, tables_k)
         for n, value in enumerate(values):
-            expected = brute_force_induced_covariance(k, tables_h, tables_k, aut_h, aut_k, n)
+            expected = brute_force_induced_covariance(k, matches, aut_h, aut_k, n)
             assert Fraction(value, scale) == expected, (h, other, n)
 
 

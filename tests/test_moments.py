@@ -246,7 +246,9 @@ def edge_sets_chosen(pattern_a, pattern_b):
     on the tuple side, as `_overlap_sums` orders them."""
     if pattern_b.vertex_count > pattern_a.vertex_count:
         pattern_a, pattern_b = pattern_b, pattern_a
-    return _edge_sets_cheaper(pattern_a, pattern_b, automorphism_count(pattern_b))
+    return _edge_sets_cheaper(
+        pattern_a, pattern_b, automorphism_count(pattern_a), automorphism_count(pattern_b)
+    )
 
 
 def asymmetric_8_vertex_patterns(edge_count, samples, rng):
@@ -259,13 +261,36 @@ def asymmetric_8_vertex_patterns(edge_count, samples, rng):
     return found
 
 
+def labeled_patterns_up_to_5_vertices():
+    for k in range(1, 6):
+        pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        for bits in range(1 << len(pairs)):
+            yield PatternGraph(k, [p for j, p in enumerate(pairs) if bits >> j & 1])
+
+
 def test_sparse_asymmetric_patterns_take_the_edge_set_order():
+    # each route is the order measured faster (see moments._TUPLE_SET_UP)
     rng = random.Random(20140523)
-    patterns = [builtin("path:7"), builtin("path:8")]
+    patterns = [builtin(f"path:{k}") for k in (1, 2, 3, 4, 6, 7, 8)]
+    patterns += [builtin(f"cycle:{k}") for k in (3, 8)]
+    patterns += [builtin(f"clique:{k}") for k in range(1, 4)]
+    patterns += [builtin(f"star:{k}") for k in range(1, 4)]
     for edge_count in (6, 7, 8, 9):
         patterns += asymmetric_8_vertex_patterns(edge_count, 5, rng)
-    for pattern in patterns:
+    # every labelled pattern with k <= 5 and at most 3 edges
+    sparse = [p for p in labeled_patterns_up_to_5_vertices() if p.edge_count <= 3]
+    assert len(sparse) == 1 + 2 + 8 + 42 + 176
+    for pattern in patterns + sparse:
         assert edge_sets_chosen(pattern, pattern), pattern
+    # the covariance pairs of perfbench's cold CLI workload and of
+    # engine-lowsym, both ways round where the two have one vertex count
+    for name_a, name_b in [
+        ("edge", "triangle"), ("wedge", "square"), ("path:4", "star:3"),
+        ("triangle", "k4"), ("path:6", "cycle:7"),
+    ]:
+        assert edge_sets_chosen(builtin(name_a), builtin(name_b))
+        assert edge_sets_chosen(builtin(name_b), builtin(name_a))
+    assert edge_sets_chosen(builtin("cycle:5"), builtin("path:5"))
 
 
 # The four densest graphs on six vertices whose only automorphism is the
@@ -279,21 +304,22 @@ ASYM6 = {
 
 
 def test_small_dense_and_symmetric_patterns_take_the_tuple_order():
-    patterns = [builtin(f"clique:{k}") for k in range(1, 9)]
-    patterns += [builtin(f"star:{k}") for k in range(1, 8)]
-    patterns += [builtin(f"cycle:{k}") for k in range(6, 9)]
+    # engine-highsym's clique:7/8 and star:6/7, and engine-lowsym's cycle:7
+    # and asym6 patterns, among them
+    patterns = [builtin(f"clique:{k}") for k in range(4, 9)]
+    patterns += [builtin(f"star:{k}") for k in range(4, 8)]
+    patterns += [builtin(f"cycle:{k}") for k in range(4, 8)]
+    patterns += [builtin("path:5")]
     patterns += [PatternGraph(6, edges) for edges in ASYM6.values()]
-    for k in range(1, 6):
-        pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
-        for bits in range(1 << len(pairs)):
-            patterns.append(PatternGraph(k, [p for j, p in enumerate(pairs) if bits >> j & 1]))
-    for pattern in patterns:
+    # every labelled pattern with k <= 5 and at least 4 edges
+    dense = [p for p in labeled_patterns_up_to_5_vertices() if p.edge_count >= 4]
+    assert len(dense) == 22 + 848
+    for pattern in patterns + dense:
         assert not edge_sets_chosen(pattern, pattern), pattern
-    # the covariance pairs of perfbench's cold CLI workload, both ways round
-    for name_a, name_b in [
-        ("edge", "triangle"), ("wedge", "square"), ("path:4", "star:3"),
-        ("triangle", "k4"), ("cycle:5", "path:5"),
-    ]:
+    # with kA = kB the tuple side is B, and path:5's tuples are cheaper than
+    # cycle:5's; symmetric covariance pairs of different sizes, both ways round
+    assert not edge_sets_chosen(builtin("path:5"), builtin("cycle:5"))
+    for name_a, name_b in [("star:5", "cycle:8"), ("cycle:5", "path:8")]:
         assert not edge_sets_chosen(builtin(name_a), builtin(name_b))
         assert not edge_sets_chosen(builtin(name_b), builtin(name_a))
 
@@ -307,7 +333,7 @@ def test_small_dense_and_symmetric_patterns_take_the_tuple_order():
         ("star:6", ["tuples"]),
         ("asym6-5", ["tuples", "subsets"]),
         ("cycle:7", ["tuples", "subsets"]),
-        ("path:6", ["tuples", "subsets"]),
+        ("cycle:6", ["tuples", "subsets"]),
     ],
 )
 def test_symmetric_variance_builds_one_table_pass(monkeypatch, name, passes):
