@@ -21,14 +21,20 @@ where a mask is the induced edge set on the i slots.  The inner sum is
 taken in one of two orders, whichever is expected to cost less.
 
 Tuple order: the masks of every ordered tuple of B and every subset of A
-are built in one depth-first pass per pattern and aggregated by
-multiplicity, so the pair loop runs over distinct masks only.  Tuples in one
-orbit of the automorphism group share their mask, so the tuple pass visits
-one representative per orbit, about e * k! / |Aut| of them and at most
-e * k!, and counts each by its orbit size.  Where that is fewer than A's 2^kA
-subsets, A's side is its ordered tuples too (B's own pass when A == B): the
-inner sum over B's tuples does not depend on the order of S, so each
-i-subset counts i! times and level i's total is divided by i!.
+are built in one pass per pattern and aggregated by multiplicity, so the
+pair loop runs over distinct masks only.  Tuples in one orbit of the
+automorphism group share their mask, so the tuple pass visits one
+representative per orbit, about e * k! / |Aut| of them and at most e * k!,
+and counts each by its orbit size.  A pass has two phases: the prefixes
+whose point stabiliser is nontrivial are walked depth first, one call per
+prefix, and the subtree below a prefix whose stabiliser is trivial, where
+every representative stands for |Aut| tuples, is expanded a level at a time
+in bulk.  Every prefix of the subset pass and of an |Aut| = 1 tuple pass is
+of the second kind, so those passes expand one subtree per first vertex.
+Where the representatives are fewer than A's 2^kA subsets, A's side is its
+ordered tuples too (B's own pass when A == B): the inner sum over B's
+tuples does not depend on the order of S, so each i-subset counts i! times
+and level i's total is divided by i!.
 
 Edge-set order: 2^c is the number of sets J of common edges, so with P the
 pattern with fewer edges and Q the other, and u = |V(J)|,
@@ -42,7 +48,9 @@ automorphism fixing the images placed so far have as many completions, so
 one per orbit is followed.
 
 The engine takes the edge-set order when 7 * 2^(eP) * eP^2 * (1 + kQ/|Aut Q|)
-is below 20 * (e * k! / |Aut| + 50) for the tuple side's k, e and |Aut|:
+is below 20 * (e * k! / |Aut| + 50) for the tuple side's k, e and |Aut|
+(the pattern with fewer vertices, or with fewer representatives when both
+have as many):
 sparse pairs, such as the variances of path:7, cycle:8 and of every pattern
 with at most 5 vertices and 3 edges.  Both orders give the same integers.
 All arithmetic is exact integer counting until one rational scale per
@@ -56,6 +64,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, perm
+from operator import itemgetter
 
 from .algebra import RationalPolynomial, _Record, falling_factorial_poly
 from .pattern import PatternGraph, _check_size
@@ -105,6 +114,20 @@ def mean_poly(pattern: PatternGraph) -> RationalPolynomial:
     return _mean(pattern, automorphism_count(pattern))
 
 
+@lru_cache(maxsize=None)
+def _candidates(k: int, ordered: bool) -> tuple[tuple[int, ...], ...]:
+    """By a prefix's vertex set: the vertices placed next once its stabiliser
+    is trivial, the free ones for a tuple and those above the last for a
+    subset."""
+    if not ordered:
+        tails = [tuple(range(start, k)) for start in range(k + 1)]
+        return tuple(tails[used.bit_length()] for used in range(1 << k))
+    free = [tuple(range(k))]
+    for top in range(k):  # the sets whose highest vertex is top
+        free += [f[: (i := f.index(top))] + f[i + 1 :] for f in free]
+    return tuple(free)
+
+
 def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counter[int]]:
     """tables[i]: induced slot-pair masks of the pattern's i-vertex selections,
     with multiplicities, for i up to depth.
@@ -116,11 +139,30 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     of G_p, the automorphisms fixing p pointwise, and counts it weight*|G_p w|
     times, the number of tuples its prefix stands for.  By orbit-stabiliser
     |G_p| = aut / weight, so once the weight reaches aut the stabiliser is
-    trivial and every free vertex is its own orbit; in the subset pass every
-    vertex above the prefix's last is.  That is about e * k! / aut
-    representatives, at most e * k!.  G_p depends only on the set of p, so
-    the representatives and orbit sizes are found once per set, each search
-    starting from the twin classes, which are found once per pass.
+    trivial and every free vertex is its own orbit.  That is about
+    e * k! / aut representatives, at most e * k!.  G_p depends only on the
+    set of p, so the representatives and orbit sizes are found once per set,
+    each search starting from the twin classes, which are found once per pass.
+
+    The pass has two phases.  Prefixes whose stabiliser is nontrivial are
+    walked depth first, one call per prefix.  Below a prefix whose
+    stabiliser is trivial every selection stands for max(aut, 1) of them
+    (every prefix of the subset pass and of an |Aut| = 1 tuple pass is such
+    a prefix), so its subtree is expanded one level at a time instead: one
+    list of (mask, used, packed) states per level, whose masks go into the
+    table in one count (when aut > 1, one addition of aut per mask), and no
+    states for the deepest level, whose masks are counted as they are made.
+    The walk reaches these roots one after another and the root of the pass
+    is always walked, so an |Aut| = 1 pass holds the levels of one first
+    vertex's subtree at a time.  Decided from the prefix alone, a child
+    whose stabiliser is trivial is expanded so when at least three levels
+    lie below it and, for a subset, at least three vertices above its last;
+    a shallower subtree stays on the walk.  Expanding subtrees with one or
+    two levels below too moved the variances of star:4-7 and clique:6-8,
+    whose stabilisers turn trivial one or two levels above the leaves, by
+    less than 3 % either way, and asking for four levels moved those of
+    |Aut| = 1-12 patterns with 5-8 vertices by less than 4 % (paired
+    in-process calls, 2-vCPU Intel Xeon, Python 3.11.7).
 
     Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing w at slot p adds
     the pairs of p with the slots of w's placed neighbours.  Those travel down
@@ -137,28 +179,54 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     adjacent = _adjacency(pattern)
     twins = _twin_classes(adjacent) if aut > 1 else []
     tables: list[Counter[int]] = [Counter() for _ in range(depth + 1)]
-    # candidates and orbit sizes, by a subset prefix's last vertex + 1 or a tuple prefix's set
-    tails = [] if aut else [dict.fromkeys(range(start, k), 1) for start in range(k + 1)]
+    after = _candidates(k, aut > 0)
+    scale = max(aut, 1)  # the weight of a prefix with a trivial stabiliser
+    # candidates and orbit sizes of the walked prefixes, by the prefix's set
     orbits: dict[int, dict[int, int]] = {}
 
     def extend(size: int, mask: int, used: int, weight: int, packed: int) -> None:
         table = tables[size + 1]
         shift = size * (size - 1) // 2
-        if not aut:
-            candidates = tails[used.bit_length()]
-        else:
-            if used not in orbits:  # G_p is trivial once the weight reaches aut
-                free = (w for w in range(k) if not used >> w & 1)
-                orbits[used] = (
-                    _orbits(adjacent, used, twins) if weight < aut else dict.fromkeys(free, 1)
-                )
-            candidates = orbits[used]
-        for w, orbit in candidates.items():
+        if used not in orbits:  # G_p is trivial once the weight reaches aut
+            orbits[used] = (
+                _orbits(adjacent, used, twins) if weight < aut else dict.fromkeys(after[used], 1)
+            )
+        deep = depth - size > 3  # at least three levels below each child
+        for w, orbit in orbits[used].items():
             grown = mask | (packed >> w * d & field) << shift
             count = weight * orbit
             table[grown] += count
+            placed = used | 1 << w
+            # for a subset, three vertices must also remain above w
+            if deep and count == scale and len(after[placed]) > 2:
+                expand(size + 1, [(grown, placed, packed | spread[w] << size)])
+            elif size + 1 < depth:
+                extend(size + 1, grown, placed, count, packed | spread[w] << size)
+
+    def expand(top: int, states: list[tuple[int, int, int]]) -> None:
+        for size in range(top, depth):
+            shift = size * (size - 1) // 2
             if size + 1 < depth:
-                extend(size + 1, grown, used | 1 << w, count, packed | spread[w] << size)
+                states = [
+                    (mask | (packed >> w * d & field) << shift, used | 1 << w, packed | spread[w] << size)
+                    for mask, used, packed in states
+                    for w in after[used]
+                ]
+                if not states:  # a subset's subtree ends once no vertex is left above it
+                    return
+                masks = map(itemgetter(0), states)
+            else:
+                masks = (
+                    mask | (packed >> w * d & field) << shift
+                    for mask, used, packed in states
+                    for w in after[used]
+                )
+            if scale == 1:
+                tables[size + 1].update(masks)
+            else:
+                table = tables[size + 1]
+                for grown in masks:
+                    table[grown] += scale
 
     extend(0, 0, 0, 1, 0)
     return tables
@@ -172,9 +240,11 @@ def _overlap_sums(
 
     sums[0] = 1 counts the empty overlap.  The sum is symmetric in the two
     patterns, so the one with fewer vertices supplies the (more numerous)
-    ordered tuples, and the cheaper of the two summation orders is taken.
+    ordered tuples, or on equal vertex counts the one with fewer tuple
+    representatives, and the cheaper of the two summation orders is taken.
     """
-    if pattern_b.vertex_count > pattern_a.vertex_count:
+    side_a = pattern_a.vertex_count, _tuple_count(pattern_a, aut_a)
+    if (pattern_b.vertex_count, _tuple_count(pattern_b, aut_b)) > side_a:
         pattern_a, pattern_b, aut_a, aut_b = pattern_b, pattern_a, aut_b, aut_a
     if _edge_sets_cheaper(pattern_a, pattern_b, aut_a, aut_b):
         return _sums_by_edge_sets(pattern_a, pattern_b, aut_a, aut_b)
@@ -336,7 +406,11 @@ def _embedding_count(
 # 4.80 s, at most 5.0 ms, the old one 79 ms.  Timed as best of 3-9 runs with
 # garbage collection off instead, the two samples lose 19 and 39 ms (old: 212
 # and 118 ms).  cycle:7 sits on the boundary: its edge sets took 0.86-1.24
-# times its tuple time over the four samples.
+# times its tuple time over the four samples.  Rechecked once the tuple pass
+# expanded subtrees below a trivial stabiliser level by level: over 304
+# pairs (254 of this sample's, the route tests' patterns and 30 seeded
+# |Aut| <= 4 patterns with 7-8 vertices and 6-10 edges) the rule loses
+# 1.2 ms of 0.92 s, and 1.0 ms on the 254 rows, where it lost 1.6 ms before.
 _TUPLE_SET_UP = 50
 
 
@@ -349,10 +423,10 @@ def _edge_sets_cheaper(
     pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
 ) -> bool:
     """Whether the edge-set order should be cheaper than the tuple order, for
-    B (kB <= kA) on the tuple side: 2^e edge subsets of the sparser pattern,
-    embedded in Q, the other (B on a tie, as `_sums_by_edge_sets` picks it),
-    against about eB * kB! / |Aut B| tuple representatives and a fixed
-    set-up (see the constant)."""
+    B on the tuple side as `_overlap_sums` picks it: 2^e edge subsets of the
+    sparser pattern, embedded in Q, the other (B on a tie, as
+    `_sums_by_edge_sets` picks it), against about eB * kB! / |Aut B| tuple
+    representatives and a fixed set-up (see the constant)."""
     if pattern_a.edge_count > pattern_b.edge_count:
         e, k_q, aut_q = pattern_b.edge_count, pattern_a.vertex_count, aut_a
     else:

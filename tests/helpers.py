@@ -1,7 +1,7 @@
 """Shared test fixtures: frozen golden coefficients, independent oracles,
 pattern writers, a backtracking subgraph counter, isomorphism classes of
-small patterns, a few named 8-vertex patterns and a runner for code in a
-fresh interpreter.
+small patterns, a few named and seeded 8-vertex patterns and a runner for
+code in a fresh interpreter.
 
 The golden coefficient tables below are frozen reference values for the six
 builtin patterns (ascending degree order, entry i = coefficient of n**i).
@@ -13,6 +13,7 @@ repeated-multiplication implementation.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from collections import defaultdict
@@ -157,6 +158,17 @@ def disjoint_union(p: PatternGraph, q: PatternGraph) -> PatternGraph:
 def cube() -> PatternGraph:
     """Q3: vertices are 3-bit words, adjacent when they differ in one bit."""
     return PatternGraph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
+
+
+def first_draw(seed: int, k: int, edge_count: int, aut: int) -> PatternGraph:
+    """The first pattern drawn by random.Random(seed), each draw edge_count
+    of the k-vertex pairs, whose automorphism group has order aut."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(k), 2))
+    while True:
+        pattern = PatternGraph(k, rng.sample(pairs, edge_count))
+        if automorphism_count(pattern) == aut:
+            return pattern
 
 
 @cache

@@ -49,6 +49,7 @@ from helpers import (
     class_pattern,
     cube,
     disjoint_union,
+    first_draw,
     isomorphism_classes,
     ordered_embedding_count,
 )
@@ -120,11 +121,17 @@ def test_tuple_tables_match_permutations_on_sampled_patterns_k6_k7(k, data):
     assert engine_tuple_tables(pattern) == tuple_tables_by_permutations(pattern)
 
 
+# With the two seeded draws, whose stabilisers turn trivial at the root
+# (|Aut| = 1) and after one to six placements (|Aut| = 2: the involution
+# swaps 1 and 4 and fixes the rest), the tuple pass expands subtrees level
+# by level below roots of several sizes.
 SYMMETRIC_8 = {
     "clique:8": builtin("clique:8"),  # |Aut| = 40320
     "star:7": builtin("star:7"),  # 5040
     "cube": cube(),  # 48
     "square+square": disjoint_union(builtin("square"), builtin("square")),  # 128
+    "aut1-e16": first_draw(816, 8, 16, 1),
+    "aut2-e12": first_draw(812, 8, 12, 2),
 }
 
 

@@ -1,9 +1,12 @@
 """Moment engine: golden polynomials, structural invariants, argument checks."""
 
 import inspect
+import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +25,15 @@ from motifmoments import (
     second_moment_poly,
     variance_poly,
 )
-from motifmoments.moments import _edge_sets_cheaper
+import motifmoments.moments as moments_module
+from motifmoments.moments import _overlap_sums
 
 from helpers import (
     GOLDEN_COV_EDGE_TRIANGLE,
     GOLDEN_MEANS,
     GOLDEN_VARIANCES,
     falling_from_roots,
+    first_draw,
     run_child,
 )
 
@@ -241,14 +246,40 @@ def test_symmetric_pattern_variance_is_fast(name):
     assert min(elapsed) < 0.05
 
 
+def test_low_symmetry_variance_peak_memory():
+    # the tuple pass expands one first vertex's subtree at a time, so its
+    # level lists stay small beside the tables: this k = 8, e = 16,
+    # |Aut| = 1 variance peaks at about 6.0 MB traced, and at 5.35 MB on a
+    # walk of one call per prefix, which holds only the path to the prefix
+    pattern = first_draw(816, 8, 16, 1)
+    tracemalloc.start()
+    try:
+        variance_poly(pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 5.35e6
+
+
+def route(pattern_a, pattern_b):
+    """The summation order `_overlap_sums` takes for the pair, and the
+    pattern it puts on the tuple side."""
+    taken = []
+
+    def taking(order):
+        return lambda pattern_a, pattern_b, aut_a, aut_b: taken.append((order, pattern_b))
+
+    with mock.patch.object(moments_module, "_sums_by_edge_sets", taking("edge sets")):
+        with mock.patch.object(moments_module, "_sums_by_tuples", taking("tuples")):
+            _overlap_sums(
+                pattern_a, pattern_b, automorphism_count(pattern_a), automorphism_count(pattern_b)
+            )
+    (found,) = taken
+    return found
+
+
 def edge_sets_chosen(pattern_a, pattern_b):
-    """The engine's choice for a pair, with the pattern with fewer vertices
-    on the tuple side, as `_overlap_sums` orders them."""
-    if pattern_b.vertex_count > pattern_a.vertex_count:
-        pattern_a, pattern_b = pattern_b, pattern_a
-    return _edge_sets_cheaper(
-        pattern_a, pattern_b, automorphism_count(pattern_a), automorphism_count(pattern_b)
-    )
+    return route(pattern_a, pattern_b)[0] == "edge sets"
 
 
 def asymmetric_8_vertex_patterns(edge_count, samples, rng):
@@ -290,7 +321,6 @@ def test_sparse_asymmetric_patterns_take_the_edge_set_order():
     ]:
         assert edge_sets_chosen(builtin(name_a), builtin(name_b))
         assert edge_sets_chosen(builtin(name_b), builtin(name_a))
-    assert edge_sets_chosen(builtin("cycle:5"), builtin("path:5"))
 
 
 # The four densest graphs on six vertices whose only automorphism is the
@@ -316,12 +346,44 @@ def test_small_dense_and_symmetric_patterns_take_the_tuple_order():
     assert len(dense) == 22 + 848
     for pattern in patterns + dense:
         assert not edge_sets_chosen(pattern, pattern), pattern
-    # with kA = kB the tuple side is B, and path:5's tuples are cheaper than
-    # cycle:5's; symmetric covariance pairs of different sizes, both ways round
-    assert not edge_sets_chosen(builtin("path:5"), builtin("cycle:5"))
-    for name_a, name_b in [("star:5", "cycle:8"), ("cycle:5", "path:8")]:
+    # with kA = kB the tuple side is the one with fewer tuple representatives,
+    # cycle:5 (60, against path:5's 240) and star:4 (20); symmetric
+    # covariance pairs of different sizes; both ways round
+    for name_a, name_b in [
+        ("cycle:5", "path:5"), ("star:4", "path:5"), ("star:5", "cycle:8"), ("cycle:5", "path:8"),
+    ]:
         assert not edge_sets_chosen(builtin(name_a), builtin(name_b))
         assert not edge_sets_chosen(builtin(name_b), builtin(name_a))
+
+
+def test_both_argument_orders_take_the_same_pass():
+    # the pattern with fewer vertices takes the tuple side, and on equal
+    # vertex counts the one with fewer tuple representatives, so a pair's
+    # route and cost do not depend on the order of the arguments
+    pairs = [
+        ("cycle:5", "path:5"), ("star:4", "path:5"), ("star:4", "cycle:5"), ("path:4", "star:3"),
+        ("square", "path:4"), ("k4", "star:3"), ("cycle:7", "path:7"), ("clique:6", "cycle:6"),
+        ("edge", "triangle"), ("path:6", "cycle:7"), ("star:5", "cycle:8"), ("cycle:5", "path:8"),
+    ]
+    pairs += [(name, f"asym6-{j}") for name in ASYM6 for j in (5, 8)]
+    pairs += [("cycle:6", "asym6-6"), ("path:6", "asym6-7"), ("star:5", "asym6-5")]
+    for name_a, name_b in pairs:
+        pattern_a, pattern_b = (
+            PatternGraph(6, ASYM6[name]) if name in ASYM6 else builtin(name)
+            for name in (name_a, name_b)
+        )
+        order, tuple_side = route(pattern_a, pattern_b)
+        swapped_order, swapped_side = route(pattern_b, pattern_a)
+        assert swapped_order == order, (name_a, name_b)
+        # the same side unless the two tie on both counts
+        assert tuple_cost(swapped_side) == tuple_cost(tuple_side), (name_a, name_b)
+        assert tuple_cost(tuple_side) == min(map(tuple_cost, (pattern_a, pattern_b)))
+
+
+def tuple_cost(pattern):
+    """Vertex count and about how many representatives the tuple pass visits."""
+    k = pattern.vertex_count
+    return k, pattern.edge_count * math.factorial(k) // automorphism_count(pattern)
 
 
 @pytest.mark.parametrize(
