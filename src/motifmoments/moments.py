@@ -154,15 +154,7 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     states for the deepest level, whose masks are counted as they are made.
     The walk reaches these roots one after another and the root of the pass
     is always walked, so an |Aut| = 1 pass holds the levels of one first
-    vertex's subtree at a time.  Decided from the prefix alone, a child
-    whose stabiliser is trivial is expanded so when at least three levels
-    lie below it and, for a subset, at least three vertices above its last;
-    a shallower subtree stays on the walk.  Expanding subtrees with one or
-    two levels below too moved the variances of star:4-7 and clique:6-8,
-    whose stabilisers turn trivial one or two levels above the leaves, by
-    less than 3 % either way, and asking for four levels moved those of
-    |Aut| = 1-12 patterns with 5-8 vertices by less than 4 % (paired
-    in-process calls, 2-vCPU Intel Xeon, Python 3.11.7).
+    vertex's subtree at a time.
 
     Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing w at slot p adds
     the pairs of p with the slots of w's placed neighbours.  Those travel down
@@ -184,24 +176,23 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     # candidates and orbit sizes of the walked prefixes, by the prefix's set
     orbits: dict[int, dict[int, int]] = {}
 
-    def extend(size: int, mask: int, used: int, weight: int, packed: int) -> None:
+    def extend(size: int, weight: int, mask: int, used: int, packed: int) -> None:
         table = tables[size + 1]
         shift = size * (size - 1) // 2
-        if used not in orbits:  # G_p is trivial once the weight reaches aut
+        if used not in orbits:  # G_p is trivial only at the root of an aut <= 1 pass
             orbits[used] = (
                 _orbits(adjacent, used, twins) if weight < aut else dict.fromkeys(after[used], 1)
             )
-        deep = depth - size > 3  # at least three levels below each child
         for w, orbit in orbits[used].items():
             grown = mask | (packed >> w * d & field) << shift
             count = weight * orbit
             table[grown] += count
-            placed = used | 1 << w
-            # for a subset, three vertices must also remain above w
-            if deep and count == scale and len(after[placed]) > 2:
-                expand(size + 1, [(grown, placed, packed | spread[w] << size)])
-            elif size + 1 < depth:
-                extend(size + 1, grown, placed, count, packed | spread[w] << size)
+            if size + 1 < depth:
+                state = grown, used | 1 << w, packed | spread[w] << size
+                if count == scale:
+                    expand(size + 1, [state])
+                else:
+                    extend(size + 1, count, *state)
 
     def expand(top: int, states: list[tuple[int, int, int]]) -> None:
         for size in range(top, depth):
@@ -228,7 +219,10 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
                 for grown in masks:
                     table[grown] += scale
 
-    extend(0, 0, 0, 1, 0)
+    extend(0, 1, 0, 0, 0)
+    # extend refers to itself: dropping it lets the tables go with the caller's
+    # last reference instead of at the next cyclic collection
+    del extend
     return tables
 
 

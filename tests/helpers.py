@@ -1,7 +1,7 @@
 """Shared test fixtures: frozen golden coefficients, independent oracles,
 pattern writers, a backtracking subgraph counter, isomorphism classes of
-small patterns, a few named and seeded 8-vertex patterns and a runner for
-code in a fresh interpreter.
+small patterns, a few named 8-vertex patterns, random patterns of a given
+symmetry and a runner for code in a fresh interpreter.
 
 The golden coefficient tables below are frozen reference values for the six
 builtin patterns (ascending degree order, entry i = coefficient of n**i).
@@ -160,15 +160,18 @@ def cube() -> PatternGraph:
     return PatternGraph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
 
 
-def first_draw(seed: int, k: int, edge_count: int, aut: int) -> PatternGraph:
-    """The first pattern drawn by random.Random(seed), each draw edge_count
-    of the k-vertex pairs, whose automorphism group has order aut."""
-    rng = random.Random(seed)
+def random_patterns(
+    k: int, edge_count: int, aut: int, samples: int, rng: random.Random
+) -> list[PatternGraph]:
+    """The first `samples` patterns drawn by rng, each draw edge_count of the
+    k-vertex pairs, whose automorphism group has order aut."""
     pairs = list(combinations(range(k), 2))
-    while True:
+    found = []
+    while len(found) < samples:
         pattern = PatternGraph(k, rng.sample(pairs, edge_count))
         if automorphism_count(pattern) == aut:
-            return pattern
+            found.append(pattern)
+    return found
 
 
 @cache

@@ -26,14 +26,14 @@ from motifmoments import (
     variance_poly,
 )
 import motifmoments.moments as moments_module
-from motifmoments.moments import _overlap_sums
+from motifmoments.moments import _mask_tables, _overlap_sums
 
 from helpers import (
     GOLDEN_COV_EDGE_TRIANGLE,
     GOLDEN_MEANS,
     GOLDEN_VARIANCES,
     falling_from_roots,
-    first_draw,
+    random_patterns,
     run_child,
 )
 
@@ -248,16 +248,26 @@ def test_symmetric_pattern_variance_is_fast(name):
 
 def test_low_symmetry_variance_peak_memory():
     # the tuple pass expands one first vertex's subtree at a time, so its
-    # level lists stay small beside the tables: this k = 8, e = 16,
-    # |Aut| = 1 variance peaks at about 6.0 MB traced, and at 5.35 MB on a
-    # walk of one call per prefix, which holds only the path to the prefix
-    pattern = first_draw(816, 8, 16, 1)
+    # level lists stay small beside the tables it keeps: this k = 8, e = 16,
+    # |Aut| = 1 variance peaks at 1.15-1.17 times the tables' traced size
+    # (5.75-6.00 MB under Python 3.10-3.13), where expanding whole levels
+    # would take 1.9 times; a walk of one call per prefix, which holds only
+    # the path to the prefix, peaked at 5.35 MB under 3.11.  The tables are
+    # freed when the call returns, so a second call peaks no higher.
+    pattern = random_patterns(8, 16, 1, 1, random.Random(816))[0]
+    variance_poly(pattern)  # fills the per-k caches outside the trace
     tracemalloc.start()
     try:
+        tables = _mask_tables(pattern, 8, 1), _mask_tables(pattern, 8, 0)
+        kept = tracemalloc.get_traced_memory()[0]
+        del tables
+        tracemalloc.reset_peak()
+        variance_poly(pattern)
         variance_poly(pattern)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 1.5 * kept
     assert peak < 1.5 * 5.35e6
 
 
@@ -282,16 +292,6 @@ def edge_sets_chosen(pattern_a, pattern_b):
     return route(pattern_a, pattern_b)[0] == "edge sets"
 
 
-def asymmetric_8_vertex_patterns(edge_count, samples, rng):
-    pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
-    found = []
-    while len(found) < samples:
-        pattern = PatternGraph(8, rng.sample(pairs, edge_count))
-        if automorphism_count(pattern) == 1:
-            found.append(pattern)
-    return found
-
-
 def labeled_patterns_up_to_5_vertices():
     for k in range(1, 6):
         pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
@@ -307,7 +307,7 @@ def test_sparse_asymmetric_patterns_take_the_edge_set_order():
     patterns += [builtin(f"clique:{k}") for k in range(1, 4)]
     patterns += [builtin(f"star:{k}") for k in range(1, 4)]
     for edge_count in (6, 7, 8, 9):
-        patterns += asymmetric_8_vertex_patterns(edge_count, 5, rng)
+        patterns += random_patterns(8, edge_count, 1, 5, rng)
     # every labelled pattern with k <= 5 and at most 3 edges
     sparse = [p for p in labeled_patterns_up_to_5_vertices() if p.edge_count <= 3]
     assert len(sparse) == 1 + 2 + 8 + 42 + 176
