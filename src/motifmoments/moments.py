@@ -47,12 +47,10 @@ count is taken modulo Aut Q as the tuple pass is: maps that differ by an
 automorphism fixing the images placed so far have as many completions, so
 one per orbit is followed.
 
-The engine takes the edge-set order when 7 * 2^(eP) * eP^2 * (1 + kQ/|Aut Q|)
-is below 20 * (e * k! / |Aut| + 50) for the tuple side's k, e and |Aut|
-(the pattern with fewer vertices, or with fewer representatives when both
-have as many):
-sparse pairs, such as the variances of path:7, cycle:8 and of every pattern
-with at most 5 vertices and 3 edges.  Both orders give the same integers.
+`_route` alone picks a pair's order and orients the pair, the same in either
+argument order, by the cost rule set out above `_TUPLE_SET_UP`: the edge-set
+order for sparse pairs, such as the variances of path:7, cycle:8 and of every
+pattern with at most 5 vertices and 3 edges.  Both give the same integers.
 All arithmetic is exact integer counting until one rational scale per
 polynomial at the end; `covariance_poly` subtracts the product of the means
 from the second moment in integers over the same scale.
@@ -61,6 +59,7 @@ from the second moment in integers over the same scale.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, perm
@@ -233,16 +232,10 @@ def _overlap_sums(
     2^popcount(mask_A(S) & mask_B(t)), for i = 0..min(kA, kB).
 
     sums[0] = 1 counts the empty overlap.  The sum is symmetric in the two
-    patterns, so the one with fewer vertices supplies the (more numerous)
-    ordered tuples, or on equal vertex counts the one with fewer tuple
-    representatives, and the cheaper of the two summation orders is taken.
+    patterns, so `_route` may take them in either order.
     """
-    side_a = pattern_a.vertex_count, _tuple_count(pattern_a, aut_a)
-    if (pattern_b.vertex_count, _tuple_count(pattern_b, aut_b)) > side_a:
-        pattern_a, pattern_b, aut_a, aut_b = pattern_b, pattern_a, aut_b, aut_a
-    if _edge_sets_cheaper(pattern_a, pattern_b, aut_a, aut_b):
-        return _sums_by_edge_sets(pattern_a, pattern_b, aut_a, aut_b)
-    return _sums_by_tuples(pattern_a, pattern_b, aut_a, aut_b)
+    order, first, second, aut_first, aut_second = _route(pattern_a, pattern_b, aut_a, aut_b)
+    return order(first, second, aut_first, aut_second)
 
 
 def _sums_by_tuples(
@@ -271,15 +264,13 @@ def _sums_by_tuples(
 def _sums_by_edge_sets(
     pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
 ) -> list[int]:
-    """The overlap sums taken over the sets J of common edges (see the module
-    docstring): J fixes the images of its u vertices, and the other i - u
-    vertices of S are any of P's remaining vertices, placed in order on any
-    of Q's.  emb(J -> Q) is memoised per J relabelled in order of first
-    appearance, and counted modulo Aut Q (aut_a, aut_b: the two groups'
-    orders), with the orbits of its point stabilisers found once per call.
+    """The overlap sums over the sets J of common edges of P = A and Q = B
+    (see the module docstring; either pattern may be P): J fixes the images
+    of its u vertices, and the other i - u vertices of S are any of P's
+    remaining vertices, placed in order on any of Q's.  emb(J -> Q) is
+    memoised per J relabelled in order of first appearance, and counted
+    modulo Aut Q (aut_b), with the orbits of its stabilisers found once.
     """
-    if pattern_a.edge_count > pattern_b.edge_count:
-        pattern_a, pattern_b, aut_b = pattern_b, pattern_a, aut_a
     edges = pattern_a.sorted_edges()
     adjacent = _adjacency(pattern_b)
     twins = _twin_classes(adjacent) if aut_b > 1 else []
@@ -382,10 +373,10 @@ def _embedding_count(
     return place(0, full, 1) if u else 1
 
 
-# One edge subset of the edge-set order costs about 7 e^2 (1 + kQ/|Aut Q|) / 20
-# representatives of the tuple order, e being the sparser pattern's edge count
-# and Q the other pattern: the subset's key takes e steps, its embedding count
-# grows with the subset, and Q's orbits cut it.  The tuple order also pays
+# `_route`'s rule: one edge subset of the edge-set order costs about
+# 7 e^2 (1 + kQ/|Aut Q|) / 20 representatives of the tuple order, e being P's
+# edge count: the subset's key takes e steps, its embedding count grows with
+# the subset, and Q's orbits cut it.  The tuple order also pays
 # _TUPLE_SET_UP representatives per call, for its tables and orbit searches.
 # Fitted on both orders timed in process (means of 5-15 interleaved runs,
 # garbage collection on, 2-vCPU Intel Xeon, Python 3.11.7) over 337 pairs:
@@ -394,17 +385,15 @@ def _embedding_count(
 # eight-vertex patterns with 6-9 edges, 71 seeded 7- and 8-vertex patterns
 # with 5-14 edges and 27 covariance pairs.  The faster order takes 4.65 s in
 # all; this rule loses 2.6 ms, at most 0.6 ms on one pair (an |Aut| = 1
-# six-vertex pattern with 6 edges: 1.8 ms by tuples against 1.2 ms).  The
-# rule it replaces, 3.5 * 2^e * k^2 tuple representatives, lost 129 ms, at
-# most 30 ms.  On 147 pairs drawn with other seeds this rule loses 6.3 ms of
-# 4.80 s, at most 5.0 ms, the old one 79 ms.  Timed as best of 3-9 runs with
-# garbage collection off instead, the two samples lose 19 and 39 ms (old: 212
-# and 118 ms).  cycle:7 sits on the boundary: its edge sets took 0.86-1.24
-# times its tuple time over the four samples.  Rechecked once the tuple pass
-# expanded subtrees below a trivial stabiliser level by level: over 304
-# pairs (254 of this sample's, the route tests' patterns and 30 seeded
-# |Aut| <= 4 patterns with 7-8 vertices and 6-10 edges) the rule loses
-# 1.2 ms of 0.92 s, and 1.0 ms on the 254 rows, where it lost 1.6 ms before.
+# six-vertex pattern with 6 edges: 1.8 ms by tuples against 1.2 ms).  On 147
+# pairs drawn with other seeds it loses 6.3 ms of 4.80 s, at most 5.0 ms.
+# Timed as best of 3-9 runs with garbage collection off instead, the two
+# samples lose 19 and 39 ms.  cycle:7 sits on the boundary: its edge sets took
+# 0.86-1.24 times its tuple time over the four samples.  Rechecked once the
+# tuple pass expanded subtrees below a trivial stabiliser level by level: over
+# 304 pairs (254 of this sample's, the route tests' patterns and 30 seeded
+# |Aut| <= 4 patterns with 7-8 vertices and 6-10 edges) the rule loses 1.2 ms
+# of 0.92 s, and 1.0 ms on the 254 rows, where it lost 1.6 ms before.
 _TUPLE_SET_UP = 50
 
 
@@ -413,20 +402,31 @@ def _tuple_count(pattern: PatternGraph, aut: int) -> int:
     return pattern.edge_count * factorial(pattern.vertex_count) // aut
 
 
-def _edge_sets_cheaper(
+def _route(
     pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
-) -> bool:
-    """Whether the edge-set order should be cheaper than the tuple order, for
-    B on the tuple side as `_overlap_sums` picks it: 2^e edge subsets of the
-    sparser pattern, embedded in Q, the other (B on a tie, as
-    `_sums_by_edge_sets` picks it), against about eB * kB! / |Aut B| tuple
-    representatives and a fixed set-up (see the constant)."""
-    if pattern_a.edge_count > pattern_b.edge_count:
-        e, k_q, aut_q = pattern_b.edge_count, pattern_a.vertex_count, aut_a
-    else:
-        e, k_q, aut_q = pattern_a.edge_count, pattern_b.vertex_count, aut_b
-    tuples = _tuple_count(pattern_b, aut_b) + _TUPLE_SET_UP
-    return 7 * 2**e * e * e * (aut_q + k_q) < 20 * aut_q * tuples
+) -> tuple[Callable[..., list[int]], PatternGraph, PatternGraph, int, int]:
+    """(order, first, second, aut_first, aut_second): the overlap sums are
+    order(first, second, aut_first, aut_second), whichever pattern comes first.
+
+    The tuple side has fewer vertices, then fewer tuple representatives, then,
+    between two different patterns, the smaller sorted edge list.  The
+    edge-set order takes P, the pattern with fewer edges (the other one on a
+    tie), as first, when its 2^eP subsets should cost less than the tuple
+    side's representatives and set-up (see the constant).
+    """
+    key_a = pattern_a.vertex_count, _tuple_count(pattern_a, aut_a)
+    key_b = pattern_b.vertex_count, _tuple_count(pattern_b, aut_b)
+    if key_b > key_a or (
+        key_b == key_a and pattern_a != pattern_b and pattern_b.sorted_edges() > pattern_a.sorted_edges()
+    ):
+        pattern_a, pattern_b, aut_a, aut_b, key_b = pattern_b, pattern_a, aut_b, aut_a, key_a
+    p, q, aut_p, aut_q = pattern_a, pattern_b, aut_a, aut_b  # B is the tuple side
+    if p.edge_count > q.edge_count:
+        p, q, aut_p, aut_q = q, p, aut_q, aut_p
+    e = p.edge_count
+    if 7 * 2**e * e * e * (aut_q + q.vertex_count) < 20 * aut_q * (key_b[1] + _TUPLE_SET_UP):
+        return _sums_by_edge_sets, p, q, aut_p, aut_q
+    return _sums_by_tuples, pattern_a, pattern_b, aut_a, aut_b
 
 
 def second_moment_poly(pattern_a: PatternGraph, pattern_b: PatternGraph) -> RationalPolynomial:

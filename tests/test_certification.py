@@ -260,10 +260,11 @@ def test_embedding_counts_modulo_the_target_group_match_backtracking(name):
 
 
 def assert_orders_agree(pattern_a, pattern_b):
-    """Both summation orders give the same overlap sums, for both argument
-    orders of the edge-set order (the tuple order takes the pattern with
-    fewer vertices second).  The edge-set order counts its embeddings modulo
-    the target's automorphism group."""
+    """Both summation orders give the same overlap sums, the edge-set order
+    with either pattern as P, the one whose edge subsets it takes, whatever
+    their edge counts (the tuple order takes the pattern with fewer vertices
+    second).  The edge-set order counts its embeddings modulo the target's
+    automorphism group."""
     if pattern_b.vertex_count > pattern_a.vertex_count:
         pattern_a, pattern_b = pattern_b, pattern_a
     auts = automorphism_count(pattern_a), automorphism_count(pattern_b)

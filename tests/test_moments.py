@@ -5,8 +5,9 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from unittest import mock
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -25,14 +26,15 @@ from motifmoments import (
     second_moment_poly,
     variance_poly,
 )
-import motifmoments.moments as moments_module
-from motifmoments.moments import _mask_tables, _overlap_sums
+from motifmoments.moments import _mask_tables, _route, _sums_by_edge_sets, _sums_by_tuples
 
 from helpers import (
     GOLDEN_COV_EDGE_TRIANGLE,
     GOLDEN_MEANS,
     GOLDEN_VARIANCES,
+    class_pattern,
     falling_from_roots,
+    isomorphism_classes,
     random_patterns,
     run_child,
 )
@@ -272,24 +274,12 @@ def test_low_symmetry_variance_peak_memory():
 
 
 def route(pattern_a, pattern_b):
-    """The summation order `_overlap_sums` takes for the pair, and the
-    pattern it puts on the tuple side."""
-    taken = []
-
-    def taking(order):
-        return lambda pattern_a, pattern_b, aut_a, aut_b: taken.append((order, pattern_b))
-
-    with mock.patch.object(moments_module, "_sums_by_edge_sets", taking("edge sets")):
-        with mock.patch.object(moments_module, "_sums_by_tuples", taking("tuples")):
-            _overlap_sums(
-                pattern_a, pattern_b, automorphism_count(pattern_a), automorphism_count(pattern_b)
-            )
-    (found,) = taken
-    return found
+    """`_route` for the pair: (order, first, second, aut_first, aut_second)."""
+    return _route(pattern_a, pattern_b, automorphism_count(pattern_a), automorphism_count(pattern_b))
 
 
 def edge_sets_chosen(pattern_a, pattern_b):
-    return route(pattern_a, pattern_b)[0] == "edge sets"
+    return route(pattern_a, pattern_b)[0] is _sums_by_edge_sets
 
 
 def labeled_patterns_up_to_5_vertices():
@@ -348,18 +338,20 @@ def test_small_dense_and_symmetric_patterns_take_the_tuple_order():
         assert not edge_sets_chosen(pattern, pattern), pattern
     # with kA = kB the tuple side is the one with fewer tuple representatives,
     # cycle:5 (60, against path:5's 240) and star:4 (20); symmetric
-    # covariance pairs of different sizes; both ways round
+    # covariance pairs of different sizes; both ways round, name_a on the
+    # tuple side
     for name_a, name_b in [
         ("cycle:5", "path:5"), ("star:4", "path:5"), ("star:5", "cycle:8"), ("cycle:5", "path:8"),
     ]:
-        assert not edge_sets_chosen(builtin(name_a), builtin(name_b))
-        assert not edge_sets_chosen(builtin(name_b), builtin(name_a))
+        for pair in (builtin(name_a), builtin(name_b)), (builtin(name_b), builtin(name_a)):
+            order, _, tuple_side, _, _ = route(*pair)
+            assert order is _sums_by_tuples and tuple_side == builtin(name_a), pair
 
 
 def test_both_argument_orders_take_the_same_pass():
-    # the pattern with fewer vertices takes the tuple side, and on equal
-    # vertex counts the one with fewer tuple representatives, so a pair's
-    # route and cost do not depend on the order of the arguments
+    # the order, the orientation and so the cost of a pair do not depend on
+    # the order of the arguments; asym6-5 and asym6-6 tie on both counts
+    # (6 vertices, 8 edges, |Aut| = 1), so their sorted edge lists decide
     pairs = [
         ("cycle:5", "path:5"), ("star:4", "path:5"), ("star:4", "cycle:5"), ("path:4", "star:3"),
         ("square", "path:4"), ("k4", "star:3"), ("cycle:7", "path:7"), ("clique:6", "cycle:6"),
@@ -372,18 +364,24 @@ def test_both_argument_orders_take_the_same_pass():
             PatternGraph(6, ASYM6[name]) if name in ASYM6 else builtin(name)
             for name in (name_a, name_b)
         )
-        order, tuple_side = route(pattern_a, pattern_b)
-        swapped_order, swapped_side = route(pattern_b, pattern_a)
-        assert swapped_order == order, (name_a, name_b)
-        # the same side unless the two tie on both counts
-        assert tuple_cost(swapped_side) == tuple_cost(tuple_side), (name_a, name_b)
-        assert tuple_cost(tuple_side) == min(map(tuple_cost, (pattern_a, pattern_b)))
+        assert route(pattern_a, pattern_b) == route(pattern_b, pattern_a), (name_a, name_b)
 
 
-def tuple_cost(pattern):
-    """Vertex count and about how many representatives the tuple pass visits."""
-    k = pattern.vertex_count
-    return k, pattern.edge_count * math.factorial(k) // automorphism_count(pattern)
+def test_routes_do_not_depend_on_argument_order_on_any_class_pair():
+    # every pair of isomorphism classes with k <= 6, among them 392 pairs of
+    # different classes (355 of them six-vertex) that tie on vertex count
+    # and tuple representatives, where only the sorted edge lists decide
+    patterns = [class_pattern(k, rep) for k in range(1, 7) for rep in isomorphism_classes(k)[1]]
+    auts = [automorphism_count(pattern) for pattern in patterns]
+    for i, j in combinations_with_replacement(range(len(patterns)), 2):
+        pattern_a, pattern_b = patterns[i], patterns[j]
+        routed = _route(pattern_a, pattern_b, auts[i], auts[j])
+        assert routed == _route(pattern_b, pattern_a, auts[j], auts[i]), (pattern_a, pattern_b)
+    keys = Counter(
+        (p.vertex_count, p.edge_count * math.factorial(p.vertex_count) // aut)
+        for p, aut in zip(patterns, auts)
+    )
+    assert sum(count * (count - 1) // 2 for count in keys.values()) == 392
 
 
 @pytest.mark.parametrize(
