@@ -26,8 +26,8 @@ pair loop runs over distinct masks only.  Tuples in one orbit of the
 automorphism group share their mask, so the tuple pass visits one
 representative per orbit, about e * k! / |Aut| of them and at most e * k!,
 and counts each by its orbit size.  A pass has two phases: the prefixes
-whose point stabiliser is nontrivial are walked depth first, one call per
-prefix, and the subtree below a prefix whose stabiliser is trivial, where
+whose point stabiliser is nontrivial are walked depth first, off a stack of
+prefixes, and the subtree below a prefix whose stabiliser is trivial, where
 every representative stands for |Aut| tuples, is expanded a level at a time
 in bulk.  Every prefix of the subset pass and of an |Aut| = 1 tuple pass is
 of the second kind, so those passes expand one subtree per first vertex.
@@ -45,7 +45,8 @@ where emb(J -> Q) counts the injective maps that send J's edges to edges of
 Q.  This costs 2^(eP) embedding counts and does not grow with k!.  Each
 count is taken modulo Aut Q as the tuple pass is: maps that differ by an
 automorphism fixing the images placed so far have as many completions, so
-one per orbit is followed.
+one per orbit is followed.  Both orders read a stabiliser's orbits from one
+`symmetry._StabiliserOrbits` table per pattern and pass.
 
 `_route` alone picks a pair's order and orients the pair, the same in either
 argument order, by the cost rule set out above `_TUPLE_SET_UP`: the edge-set
@@ -67,7 +68,7 @@ from operator import itemgetter
 
 from .algebra import RationalPolynomial, _Record, falling_factorial_poly
 from .pattern import PatternGraph, _check_size
-from .symmetry import _adjacency, _orbits, _twin_classes, automorphism_count
+from .symmetry import _adjacency, _StabiliserOrbits, automorphism_count
 
 
 class MomentReport(_Record):
@@ -140,20 +141,21 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     |G_p| = aut / weight, so once the weight reaches aut the stabiliser is
     trivial and every free vertex is its own orbit.  That is about
     e * k! / aut representatives, at most e * k!.  G_p depends only on the
-    set of p, so the representatives and orbit sizes are found once per set,
-    each search starting from the twin classes, which are found once per pass.
+    set of p, so the representatives and orbit sizes are read from the
+    pattern's orbit table, which finds them once per set.
 
     The pass has two phases.  Prefixes whose stabiliser is nontrivial are
-    walked depth first, one call per prefix.  Below a prefix whose
-    stabiliser is trivial every selection stands for max(aut, 1) of them
-    (every prefix of the subset pass and of an |Aut| = 1 tuple pass is such
-    a prefix), so its subtree is expanded one level at a time instead: one
-    list of (mask, used, packed) states per level, whose masks go into the
-    table in one count (when aut > 1, one addition of aut per mask), and no
-    states for the deepest level, whose masks are counted as they are made.
-    The walk reaches these roots one after another and the root of the pass
-    is always walked, so an |Aut| = 1 pass holds the levels of one first
-    vertex's subtree at a time.
+    walked depth first, each popped from a stack of the prefixes still to
+    extend.  Below a prefix whose stabiliser is trivial every selection
+    stands for max(aut, 1) of them (every prefix of the subset pass and of
+    an |Aut| = 1 tuple pass is such a prefix), so its subtree is expanded
+    one level at a time instead: one list of (mask, used, packed) states per
+    level, whose masks go into the table in one count (when aut > 1, one
+    addition of aut per mask), and no states for the deepest level, whose
+    masks are counted as they are made.  Each such subtree is expanded as
+    soon as its root is made, and the root of the pass is always walked, so
+    an |Aut| = 1 pass holds the levels of one first vertex's subtree at a
+    time.
 
     Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing w at slot p adds
     the pairs of p with the slots of w's placed neighbours.  Those travel down
@@ -167,31 +169,10 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     for u, v in pattern.edges:
         spread[u] |= 1 << v * d
         spread[v] |= 1 << u * d
-    adjacent = _adjacency(pattern)
-    twins = _twin_classes(adjacent) if aut > 1 else []
+    orbits = _StabiliserOrbits(pattern)
     tables: list[Counter[int]] = [Counter() for _ in range(depth + 1)]
     after = _candidates(k, aut > 0)
     scale = max(aut, 1)  # the weight of a prefix with a trivial stabiliser
-    # candidates and orbit sizes of the walked prefixes, by the prefix's set
-    orbits: dict[int, dict[int, int]] = {}
-
-    def extend(size: int, weight: int, mask: int, used: int, packed: int) -> None:
-        table = tables[size + 1]
-        shift = size * (size - 1) // 2
-        if used not in orbits:  # G_p is trivial only at the root of an aut <= 1 pass
-            orbits[used] = (
-                _orbits(adjacent, used, twins) if weight < aut else dict.fromkeys(after[used], 1)
-            )
-        for w, orbit in orbits[used].items():
-            grown = mask | (packed >> w * d & field) << shift
-            count = weight * orbit
-            table[grown] += count
-            if size + 1 < depth:
-                state = grown, used | 1 << w, packed | spread[w] << size
-                if count == scale:
-                    expand(size + 1, [state])
-                else:
-                    extend(size + 1, count, *state)
 
     def expand(top: int, states: list[tuple[int, int, int]]) -> None:
         for size in range(top, depth):
@@ -218,10 +199,22 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
                 for grown in masks:
                     table[grown] += scale
 
-    extend(0, 1, 0, 0, 0)
-    # extend refers to itself: dropping it lets the tables go with the caller's
-    # last reference instead of at the next cyclic collection
-    del extend
+    walk = [(0, 1, 0, 0, 0)]  # (size, weight, mask, used, packed) of each walked prefix
+    while walk:
+        size, weight, mask, used, packed = walk.pop()
+        table = tables[size + 1]
+        shift = size * (size - 1) // 2
+        placed = orbits[used] if weight < aut else dict.fromkeys(after[used], 1)
+        for w, orbit in placed.items():
+            grown = mask | (packed >> w * d & field) << shift
+            count = weight * orbit
+            table[grown] += count
+            if size + 1 < depth:
+                state = grown, used | 1 << w, packed | spread[w] << size
+                if count == scale:
+                    expand(size + 1, [state])
+                else:
+                    walk.append((size + 1, count, *state))
     return tables
 
 
@@ -269,12 +262,11 @@ def _sums_by_edge_sets(
     of its u vertices, and the other i - u vertices of S are any of P's
     remaining vertices, placed in order on any of Q's.  emb(J -> Q) is
     memoised per J relabelled in order of first appearance, and counted
-    modulo Aut Q (aut_b), with the orbits of its stabilisers found once.
+    modulo Aut Q (aut_b), every J reading one orbit table of Q.
     """
     edges = pattern_a.sorted_edges()
     adjacent = _adjacency(pattern_b)
-    twins = _twin_classes(adjacent) if aut_b > 1 else []
-    orbits: dict[int, dict[int, int]] = {}  # by the placed images' set, for every J
+    orbits = _StabiliserOrbits(pattern_b)  # shared by every J
     k_a, k_b = pattern_a.vertex_count, pattern_b.vertex_count
     by_size = [0] * (k_a + 1)  # sum of emb(J -> Q) over the J with u vertices
     memo: dict[tuple[tuple[int, int], ...], int] = {}
@@ -286,7 +278,7 @@ def _sums_by_edge_sets(
             if bits >> j & 1
         )
         if key not in memo:
-            memo[key] = _embedding_count(key, len(label), adjacent, aut_b, twins, orbits)
+            memo[key] = _embedding_count(key, len(label), adjacent, aut_b, orbits)
         by_size[len(label)] += memo[key]
     depth = min(k_a, k_b)
     return [
@@ -300,8 +292,7 @@ def _embedding_count(
     u: int,
     adjacent: list[int],
     aut: int,
-    twins: list[int],
-    orbits: dict[int, dict[int, int]],
+    orbits: _StabiliserOrbits,
 ) -> int:
     """Injective maps of vertices 0..u-1 into the graph Q with neighbour masks
     `adjacent` that send every edge to an edge.
@@ -319,9 +310,9 @@ def _embedding_count(
     representative per orbit is placed and counted orbit-size times.  As in
     `_mask_tables` the weight, the product of those sizes, is aut / |G_used|;
     once it reaches aut the stabiliser is trivial and every candidate is
-    placed.  The orbits, {least vertex: size}, are found from the twin
-    classes `twins` of Q and kept in `orbits` by the placed images' bitmask;
-    the caller shares that cache among the edge sets of one target only.
+    placed.  G_used's orbits are `orbits[used]`, read from the orbit table of
+    Q or of any graph with Q's automorphisms, such as Q's complement; the
+    caller shares one table among the edge sets of one target.
     """
     neighbours = [0] * u
     for x, y in edges:
@@ -353,10 +344,7 @@ def _embedding_count(
             return candidates.bit_count()
         total = 0
         if weight < aut:
-            used = full ^ free
-            if used not in orbits:
-                orbits[used] = _orbits(adjacent, used, twins)
-            for w, orbit in orbits[used].items():
+            for w, orbit in orbits[full ^ free].items():
                 if candidates >> w & 1:
                     images[i] = adjacent[w]
                     total += orbit * place(i + 1, free ^ 1 << w, weight * orbit)

@@ -11,8 +11,8 @@ twins, N(u) - {v} = N(v) - {u}, the transposition (u v) is an automorphism,
 so clique:8, whose automorphisms are all products of such, needs no search.
 This is the orbit and twin pruning of McKay and Piperno, *Practical graph
 isomorphism II* (2014), applied to the search itself.  The moment engine
-uses the same orbits to enumerate vertex tuples modulo the group.  The
-tests cross-check the count and the orbits against a brute-force filter
+reads the stabilisers' orbits from one `_StabiliserOrbits` table per pattern.
+The tests cross-check the count and the orbits against a brute-force filter
 over all k! permutations.
 """
 
@@ -123,18 +123,29 @@ def _settle(adjacent: list[int], fixed: int, v: int, label: list[int]) -> None:
                         label[z] = low
 
 
-def _orbits(adjacent: list[int], fixed: int, twins: list[int]) -> dict[int, int]:
-    """Orbits of the automorphisms that fix every vertex in the bitmask
-    `fixed`, on the other vertices: {least vertex of an orbit: its size}.
-    `twins` is `_twin_classes(adjacent)`; the search starts from its classes."""
-    label = _seeded(len(adjacent), fixed, twins)
-    sizes: dict[int, int] = {}
-    for w in range(len(adjacent)):
-        if not fixed >> w & 1:
-            if label[w] == w:
-                _settle(adjacent, fixed, w, label)
-            sizes[label[w]] = sizes.get(label[w], 0) + 1
-    return sizes
+class _StabiliserOrbits(dict):
+    """table[fixed]: the orbits of the automorphisms that fix every vertex in
+    the bitmask `fixed`, on the other vertices, as {least vertex: size}.  Each
+    is settled on its first lookup and kept; the twin classes that seed the
+    searches are found on the first, so an unread table costs nothing more."""
+
+    def __init__(self, pattern: PatternGraph) -> None:
+        self._adjacent = _adjacency(pattern)
+        self._twins: list[int] | None = None
+
+    def __missing__(self, fixed: int) -> dict[int, int]:
+        adjacent = self._adjacent
+        if self._twins is None:
+            self._twins = _twin_classes(adjacent)
+        label = _seeded(len(adjacent), fixed, self._twins)
+        sizes: dict[int, int] = {}
+        for w in range(len(adjacent)):
+            if not fixed >> w & 1:
+                if label[w] == w:
+                    _settle(adjacent, fixed, w, label)
+                sizes[label[w]] = sizes.get(label[w], 0) + 1
+        self[fixed] = sizes
+        return sizes
 
 
 def automorphism_count(pattern: PatternGraph) -> int:

@@ -43,7 +43,7 @@ from motifmoments.moments import (
     _sums_by_tuples,
     _tuple_count,
 )
-from motifmoments.symmetry import _adjacency, _twin_classes
+from motifmoments.symmetry import _adjacency, _StabiliserOrbits
 
 from helpers import (
     class_pattern,
@@ -246,17 +246,16 @@ EMBEDDING_TARGETS = {
 @pytest.mark.parametrize("name", sorted(EMBEDDING_TARGETS))
 def test_embedding_counts_modulo_the_target_group_match_backtracking(name):
     # the keys of the target's own edge subsets and of k4's, which hold
-    # triangles; one orbit cache serves every key of the target, as in a call
+    # triangles; one orbit table serves every key of the target, as in a call
     target = EMBEDDING_TARGETS[name]
     aut = automorphism_count(target)
-    adjacent = _adjacency(target)
-    twins, orbits = _twin_classes(adjacent), {}
+    adjacent, orbits = _adjacency(target), _StabiliserOrbits(target)
     keys = {**relabelled_keys(target), **relabelled_keys(builtin("k4"))}
     del keys[()]  # the empty J has the one empty map
-    assert _embedding_count((), 0, adjacent, aut, twins, orbits) == 1
+    assert _embedding_count((), 0, adjacent, aut, orbits) == 1
     for key, u in keys.items():
         expected = ordered_embedding_count(target.vertex_count, target.edges, PatternGraph(u, key))
-        assert _embedding_count(key, u, adjacent, aut, twins, orbits) == expected, (name, key)
+        assert _embedding_count(key, u, adjacent, aut, orbits) == expected, (name, key)
 
 
 def assert_orders_agree(pattern_a, pattern_b):
@@ -448,19 +447,23 @@ def submasks(bits):
 
 
 @cache
-def induced_covariances(k):
-    """Cov(I_H, I_K) for every pair of k-vertex classes, where I_H counts the
-    k-subsets S with G[S] isomorphic to H, from the engine's covariances.
+def induced_covariances(k, min_edges=0):
+    """Cov(I_H, I_K) for every pair of k-vertex classes with at least
+    `min_edges` edges, where I_H counts the k-subsets S with G[S] isomorphic
+    to H, from the engine's covariances.
 
     X_F = sum over H of s(F, H) I_H, where s(F, H) counts the edge subsets of
     H isomorphic to F; s(F, F) = 1 and s(F, H) = 0 unless F has fewer edges,
     so I_F = X_F - sum over H != F of s(F, H) I_H, solved from the densest
-    class down.  Each engine covariance is taken at n = 0..2k (its degree is
-    at most 2k) in integers over one scale, and transformed on both sides.
-    Returns ({(H, K): values at n = 0..2k}, scale).
+    class down.  Every H with s(F, H) > 0 has at least F's edges, so the
+    classes with at least `min_edges` edges need only their own covariances.
+    Each engine covariance is taken at n = 0..2k (its degree is at most 2k)
+    in integers over one scale, and transformed on both sides.  Returns
+    ({(H, K): values at n = 0..2k}, scale).
     """
     _, classes = isomorphism_classes(k)
-    reps = sorted(classes, key=lambda bits: (bits.bit_count(), bits))
+    dense = (rep for rep in classes if rep.bit_count() >= min_edges)
+    reps = sorted(dense, key=lambda bits: (bits.bit_count(), bits))
     class_of = {bits: rep for rep, labelings in classes.items() for bits in labelings}
     supergraphs = defaultdict(Counter)  # supergraphs[F][H] = s(F, H)
     for rep in reps:
@@ -539,13 +542,14 @@ def brute_force_induced_covariance(k, matches, aut_h, aut_k, n):
 # k = 6, all 12,246 covariances of the 156 classes, runs as a CI step of its
 # own: both tests below called with k = 6.
 @pytest.mark.parametrize("k", [4, 5])
-def test_induced_covariances_match_brute_force(k):
+def test_induced_covariances_match_brute_force(k, min_edges=0):
     _, classes = isomorphism_classes(k)
     assert len(classes) == {4: 11, 5: 34, 6: 156}[k]
-    induced, scale = induced_covariances(k)
+    induced, scale = induced_covariances(k, min_edges)
     sides = {
         rep: (tuple_tables_by_permutations(class_pattern(k, rep)), factorial(k) // len(labelings))
         for rep, labelings in classes.items()
+        if rep.bit_count() >= min_edges
     }
     for (h, other), values in induced.items():
         (tables_h, aut_h), (tables_k, aut_k) = sides[h], sides[other]
@@ -553,6 +557,14 @@ def test_induced_covariances_match_brute_force(k):
         for n, value in enumerate(values):
             expected = brute_force_induced_covariance(k, matches, aut_h, aut_k, n)
             assert Fraction(value, scale) == expected, (h, other, n)
+
+
+def test_induced_covariances_of_the_dense_six_vertex_classes_match_brute_force():
+    # the 9 classes with at least 12 edges, the complements of those with at
+    # most 3: 45 engine covariances, all by the tuple order, and most walk
+    # prefixes with a nontrivial stabiliser
+    assert len(induced_covariances(6, 12)[0]) == 9 * 9
+    test_induced_covariances_match_brute_force(6, min_edges=12)
 
 
 @pytest.mark.parametrize("k", [4, 5])
