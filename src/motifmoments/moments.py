@@ -34,7 +34,9 @@ of the second kind, so those passes expand one subtree per first vertex.
 Where the representatives are fewer than A's 2^kA subsets, A's side is its
 ordered tuples too (B's own pass when A == B): the inner sum over B's
 tuples does not depend on the order of S, so each i-subset counts i! times
-and level i's total is divided by i!.
+and level i's total is divided by i!.  Otherwise A's subsets are taken in
+A's search order (`_in_search_order`), where they have fewer distinct masks
+than under most labellings.
 
 Edge-set order: 2^c is the number of sets J of common edges, so with P the
 pattern with fewer edges and Q the other, and u = |V(J)|,
@@ -42,7 +44,10 @@ pattern with fewer edges and Q the other, and u = |V(J)|,
     sum_{S,t} 2^c = sum_{J subset E(P)} emb(J -> Q) * C(kP-u, i-u) * (kQ-u)_{i-u}
 
 where emb(J -> Q) counts the injective maps that send J's edges to edges of
-Q.  This costs 2^(eP) embedding counts and does not grow with k!.  Each
+Q.  This costs at most 2^(eP) embedding counts and does not grow with k!.
+The subsets J are those of P in its search order, each relabelled in order
+of first appearance, and one count serves every J with the same relabelling,
+so the number of counts does not depend on how P was labelled.  Each
 count is taken modulo Aut Q as the tuple pass is: maps that differ by an
 automorphism fixing the images placed so far have as many completions, so
 one per orbit is followed.  Both orders read a stabiliser's orbits from one
@@ -97,6 +102,17 @@ def _falls(k: int) -> tuple[int, ...]:
     return tuple(c.numerator for c in falling_factorial_poly(k).coeffs)
 
 
+@lru_cache(maxsize=None)
+def _falls_product(k_a: int, k_b: int) -> tuple[int, ...]:
+    """The integer coefficients of (n)_kA (n)_kB, lowest power first."""
+    product = [0] * (k_a + k_b + 1)
+    falls_b = _falls(k_b)
+    for i, a in enumerate(_falls(k_a)):
+        for j, b in enumerate(falls_b):
+            product[i + j] += a * b
+    return tuple(product)
+
+
 def _mean(pattern: PatternGraph, aut: int) -> RationalPolynomial:
     """(n)_k / (|Aut| 2^e): the integer coefficients of (n)_k over that scale."""
     scale = aut * 2**pattern.edge_count
@@ -128,11 +144,39 @@ def _candidates(k: int, ordered: bool) -> tuple[tuple[int, ...], ...]:
     return tuple(free)
 
 
+def _in_search_order(pattern: PatternGraph) -> PatternGraph:
+    """The pattern relabelled in depth-first order: each component from an
+    unlabelled vertex of least degree, the neighbours of least degree first.
+
+    The overlap sums do not depend on the labels, but the work of a subset
+    side does: its edge subsets, or vertex subsets, that differ by a shift
+    along a path or cycle of the pattern get one key, or mask, when the
+    labels run along it.  path:8's 127 nonempty edge subsets need 33
+    embedding counts in this order, and 68-77 under six random labellings.
+    """
+    k = pattern.vertex_count
+    adjacent = _adjacency(pattern)
+    by_degree = sorted(range(k), key=lambda x: adjacent[x].bit_count())
+    label = [0] * k
+    seen = 0
+    for root in by_degree:
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            if not seen >> x & 1:
+                label[x] = seen.bit_count()
+                seen |= 1 << x
+                fresh = adjacent[x] & ~seen
+                stack += [y for y in reversed(by_degree) if fresh >> y & 1]
+    return PatternGraph(k, [(label[u], label[v]) for u, v in pattern.edges])
+
+
 def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counter[int]]:
     """tables[i]: induced slot-pair masks of the pattern's i-vertex selections,
     with multiplicities, for i up to depth.
 
-    Without `aut` a selection is an i-subset in increasing vertex order.  With
+    Without `aut` a selection is an i-subset in increasing vertex order (the
+    engine passes the pattern in search order for this pass).  With
     aut = |Aut(pattern)| it is an ordered i-tuple of distinct vertices, and
     the tuples are enumerated modulo the group: t and sigma(t) have the same
     mask, so a node with prefix p places one representative w of each orbit
@@ -151,11 +195,12 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     an |Aut| = 1 tuple pass is such a prefix), so its subtree is expanded
     one level at a time instead: one list of (mask, used, packed) states per
     level, whose masks go into the table in one count (when aut > 1, one
-    addition of aut per mask), and no states for the deepest level, whose
-    masks are counted as they are made.  Each such subtree is expanded as
-    soon as its root is made, and the root of the pass is always walked, so
-    an |Aut| = 1 pass holds the levels of one first vertex's subtree at a
-    time.
+    addition of aut per mask, by `get` as in the walk: `+=` on a Counter
+    calls its Python-level `__missing__` for every new mask), and no states
+    for the deepest level, whose masks are counted as they are made.  Each
+    such subtree is expanded as soon as its root is made, and the root of
+    the pass is always walked, so an |Aut| = 1 pass holds the levels of one
+    first vertex's subtree at a time.
 
     Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing w at slot p adds
     the pairs of p with the slots of w's placed neighbours.  Those travel down
@@ -196,19 +241,21 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
                 tables[size + 1].update(masks)
             else:
                 table = tables[size + 1]
+                get = table.get
                 for grown in masks:
-                    table[grown] += scale
+                    table[grown] = get(grown, 0) + scale
 
     walk = [(0, 1, 0, 0, 0)]  # (size, weight, mask, used, packed) of each walked prefix
     while walk:
         size, weight, mask, used, packed = walk.pop()
         table = tables[size + 1]
+        get = table.get
         shift = size * (size - 1) // 2
         placed = orbits[used] if weight < aut else dict.fromkeys(after[used], 1)
         for w, orbit in placed.items():
             grown = mask | (packed >> w * d & field) << shift
             count = weight * orbit
-            table[grown] += count
+            table[grown] = get(grown, 0) + count
             if size + 1 < depth:
                 state = grown, used | 1 << w, packed | spread[w] << size
                 if count == scale:
@@ -236,14 +283,17 @@ def _sums_by_tuples(
 ) -> list[int]:
     """The overlap sums from the tuple tables of B (kB <= kA) and the tables
     of A, paired mask by distinct mask.  A's are its tuple tables when that
-    pass should be shorter than its subset pass (see the module docstring)."""
+    pass should be shorter than its subset pass, and otherwise the subset
+    tables of A in search order (see the module docstring)."""
     depth = pattern_b.vertex_count
     tuples = _mask_tables(pattern_b, depth, aut_b)
     ordered = _tuple_count(pattern_a, aut_a) < 2**pattern_a.vertex_count
     if ordered and pattern_a == pattern_b:
         tables_a = tuples
+    elif ordered:
+        tables_a = _mask_tables(pattern_a, depth, aut_a)
     else:
-        tables_a = _mask_tables(pattern_a, depth, aut_a if ordered else 0)
+        tables_a = _mask_tables(_in_search_order(pattern_a), depth)
     sums = [1] + [0] * depth
     for i in range(1, depth + 1):
         items_b = tuples[i].items()
@@ -260,26 +310,37 @@ def _sums_by_edge_sets(
     """The overlap sums over the sets J of common edges of P = A and Q = B
     (see the module docstring; either pattern may be P): J fixes the images
     of its u vertices, and the other i - u vertices of S are any of P's
-    remaining vertices, placed in order on any of Q's.  emb(J -> Q) is
-    memoised per J relabelled in order of first appearance, and counted
-    modulo Aut Q (aut_b), every J reading one orbit table of Q.
+    remaining vertices, placed in order on any of Q's.  The J are the edge
+    subsets of P in search order.  emb(J -> Q) is memoised per J relabelled
+    in order of first appearance, and counted modulo Aut Q (aut_b), every J
+    reading one orbit table of Q; the empty J has one map.  J's key and its
+    vertices in that order extend those of J less its highest edge, which
+    come first in the enumeration, so each subset costs one step, not one
+    per edge.
     """
-    edges = pattern_a.sorted_edges()
+    edges = _in_search_order(pattern_a).sorted_edges()
     adjacent = _adjacency(pattern_b)
     orbits = _StabiliserOrbits(pattern_b)  # shared by every J
     k_a, k_b = pattern_a.vertex_count, pattern_b.vertex_count
-    by_size = [0] * (k_a + 1)  # sum of emb(J -> Q) over the J with u vertices
+    by_size = [1] + [0] * k_a  # sum of emb(J -> Q) over the J with u vertices
     memo: dict[tuple[tuple[int, int], ...], int] = {}
-    for bits in range(1 << len(edges)):
-        label: dict[int, int] = {}
-        key = tuple(
-            (label.setdefault(x, len(label)), label.setdefault(y, len(label)))
-            for j, (x, y) in enumerate(edges)
-            if bits >> j & 1
-        )
+    keys: list[tuple[tuple[int, int], ...]] = [()]  # by subset bits, as memo's keys
+    firsts: list[tuple[int, ...]] = [()]  # by subset bits, J's vertices by first appearance
+    for bits in range(1, 1 << len(edges)):
+        top = bits.bit_length() - 1
+        parent = bits ^ 1 << top
+        x, y = edges[top]
+        first = firsts[parent]
+        if x not in first:
+            first += (x,)
+        if y not in first:
+            first += (y,)
+        key = keys[parent] + ((first.index(x), first.index(y)),)
+        keys.append(key)
+        firsts.append(first)
         if key not in memo:
-            memo[key] = _embedding_count(key, len(label), adjacent, aut_b, orbits)
-        by_size[len(label)] += memo[key]
+            memo[key] = _embedding_count(key, len(first), adjacent, aut_b, orbits)
+        by_size[len(first)] += memo[key]
     depth = min(k_a, k_b)
     return [
         sum(by_size[u] * comb(k_a - u, i - u) * perm(k_b - u, i - u) for u in range(i + 1))
@@ -295,7 +356,9 @@ def _embedding_count(
     orbits: _StabiliserOrbits,
 ) -> int:
     """Injective maps of vertices 0..u-1 into the graph Q with neighbour masks
-    `adjacent` that send every edge to an edge.
+    `adjacent` that send every edge to an edge.  `_sums_by_edge_sets` calls
+    this once per key, an edge subset of P in search order relabelled in
+    order of first appearance, and counts the empty subset's one map itself.
 
     The vertices are placed one component after another, each in depth-first
     order, so every vertex but a component's first has an earlier neighbour
@@ -358,7 +421,9 @@ def _embedding_count(
             memo[i, free] = total
         return total
 
-    return place(0, full, 1) if u else 1
+    total = place(0, full, 1) if u else 1
+    del place  # the closure refers to itself; unbound, it leaves no cycle
+    return total
 
 
 # `_route`'s rule: one edge subset of the edge-set order costs about
@@ -382,6 +447,15 @@ def _embedding_count(
 # 304 pairs (254 of this sample's, the route tests' patterns and 30 seeded
 # |Aut| <= 4 patterns with 7-8 vertices and 6-10 edges) the rule loses 1.2 ms
 # of 0.92 s, and 1.0 ms on the 254 rows, where it lost 1.6 ms before.
+# Rechecked on random labels once both orders took subsets in search order:
+# over two seeded relabellings of the route tests' 44 patterns and 14
+# covariance pairs (116 pairs, medians of 5 interleaved runs) the rule loses
+# 0.8 and 1.1 ms of 0.61 and 0.46 s for two seeds, at most 0.25 ms on one pair
+# (path:6 with an |Aut| = 1 six-vertex pattern with 8 edges, 0.9-1.1 ms by
+# tuples against 0.7-0.8 ms).  No set-up from 0 to 500 saves more than
+# 0.2 ms over both samples, less than their run-to-run spread, so it stays.
+# Under those labels cycle:7's edge sets took 0.88-1.17 times its tuple
+# time, where they took 1.01-1.33 times before.
 _TUPLE_SET_UP = 50
 
 
@@ -442,7 +516,8 @@ def covariance_poly(
     covariance = second_moment - mean_a * mean_b, formed in integers over
     the second moment's scale |Aut A| |Aut B| 2^(eA+eB): the second moment's
     numerators over it, recovered exactly from its coefficients, less the
-    convolution of (n)_kA and (n)_kB, which is mean_a * mean_b over it.
+    convolution of (n)_kA and (n)_kB, which is mean_a * mean_b over it and
+    is kept per (kA, kB).
     Only the empty overlap reaches degree kA + kB, so the leading
     coefficient is exactly 1/scale; |Aut A| |Aut B| is read from it, and A's
     group is searched again only when A != B.
@@ -459,12 +534,9 @@ def covariance_poly(
     aut_a = isqrt(auts) if same else automorphism_count(pattern_a)
     aut_b = auts // aut_a
     mean_a = _mean(pattern_a, aut_a)
+    products = _falls_product(pattern_a.vertex_count, pattern_b.vertex_count)
     # both have degree kA + kB
-    numerators = [c.numerator * (scale // c.denominator) for c in second.coeffs]
-    falls_b = _falls(pattern_b.vertex_count)
-    for i, a in enumerate(_falls(pattern_a.vertex_count)):
-        for j, b in enumerate(falls_b):
-            numerators[i + j] -= a * b
+    numerators = [c.numerator * (scale // c.denominator) - p for c, p in zip(second.coeffs, products)]
     return MomentReport(
         pattern_a=pattern_a,
         pattern_b=pattern_b,

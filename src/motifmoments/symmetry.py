@@ -91,7 +91,9 @@ def _search(adjacent: list[int], fixed: int, source: int, target: int) -> list[i
                 image.pop()
         return False
 
-    if not search(len(image), fixed | 1 << target):
+    found = search(len(image), fixed | 1 << target)
+    del search  # the closure refers to itself; unbound, it leaves no cycle
+    if not found:
         return None
     images = [0] * k
     for x, w in zip(domain, image):

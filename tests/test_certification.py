@@ -34,6 +34,7 @@ from motifmoments import (
     builtin_names,
     covariance_poly,
     mean_poly,
+    relabel,
     variance_poly,
 )
 from motifmoments.moments import (
@@ -219,7 +220,8 @@ def test_variance_matches_reference_on_every_labeled_pattern_k5():
 
 def relabelled_keys(pattern):
     """The distinct edge subsets J of the pattern, each relabelled in order of
-    first appearance as `_sums_by_edge_sets` keys them: {key: vertex count}."""
+    first appearance over its sorted edges, as `_sums_by_edge_sets` keys them
+    once P is in search order: {key: vertex count}."""
     edges = pattern.sorted_edges()
     keys = {}
     for bits in range(1 << len(edges)):
@@ -290,7 +292,45 @@ def test_summation_orders_agree_on_every_6_vertex_class_up_to_10_edges():
     + [f"star:{k}" for k in range(1, 8)],
 )
 def test_summation_orders_agree_on_sparse_builtins(name):
-    assert_orders_agree(builtin(name), builtin(name))
+    pattern = builtin(name)
+    assert_orders_agree(pattern, pattern)
+    if pattern.vertex_count >= 7:  # where the labels change the most work
+        for seed in range(2):
+            copy = relabelled(pattern, seed)
+            assert_orders_agree(copy, copy)
+
+
+def relabelled(pattern, seed):
+    """The pattern under the permutation that random.Random(seed) draws."""
+    permutation = list(range(pattern.vertex_count))
+    random.Random(seed).shuffle(permutation)
+    return relabel(pattern, permutation)
+
+
+@pytest.mark.parametrize("name,counts", [("path:7", 20), ("path:8", 33), ("cycle:8", 100)])
+def test_edge_set_work_does_not_depend_on_labels(monkeypatch, name, counts):
+    # P's edge subsets are keyed in its search order, so any labelling needs
+    # as many embedding counts as the builtin's (random labels took about
+    # twice as many, and 1.5 times for cycle:8, when they were keyed as given)
+    import motifmoments.moments as moments_module
+
+    made = []
+    embedding_count = moments_module._embedding_count
+
+    def counting(*args):
+        made.append(args[0])
+        return embedding_count(*args)
+
+    monkeypatch.setattr(moments_module, "_embedding_count", counting)
+    pattern = builtin(name)
+    aut = automorphism_count(pattern)
+    expected = _sums_by_edge_sets(pattern, pattern, aut, aut)
+    assert len(made) == counts
+    for seed in range(5):
+        copy = relabelled(pattern, seed)
+        made.clear()
+        assert _sums_by_edge_sets(copy, copy, aut, aut) == expected, (name, seed)
+        assert len(made) == counts, (name, seed)
 
 
 ISOLATED = {
