@@ -47,16 +47,18 @@ where emb(J -> Q) counts the injective maps that send J's edges to edges of
 Q.  This costs at most 2^(eP) embedding counts and does not grow with k!.
 The subsets J are those of P in its search order, each relabelled in order
 of first appearance, and one count serves every J with the same relabelling,
-so the number of counts does not depend on how P was labelled.  Each
-count is taken modulo Aut Q as the tuple pass is: maps that differ by an
-automorphism fixing the images placed so far have as many completions, so
-one per orbit is followed.  Both orders read a stabiliser's orbits from one
-`symmetry._StabiliserOrbits` table per pattern and pass.
+so a path or cycle needs as many counts under any labelling (the search
+order breaks ties of degree by label, so other patterns' counts can move by
+a few percent).  Each count is taken modulo Aut Q as the tuple pass is: maps
+that differ by an automorphism fixing the images placed so far have as many
+completions, so one per orbit is followed.  Both orders read a stabiliser's
+orbits from one `symmetry._StabiliserOrbits` table per pattern and pass.
 
-`_route` alone picks a pair's order and orients the pair, the same in either
-argument order, by the cost rule set out above `_TUPLE_SET_UP`: the edge-set
-order for sparse pairs, such as the variances of path:7, cycle:8 and of every
-pattern with at most 5 vertices and 3 edges.  Both give the same integers.
+`_route` alone plans a pair, the same in either argument order: it picks
+the order by the cost rule set out above `_TUPLE_SET_UP` (the edge-set order
+for sparse pairs, such as the variances of path:7, cycle:8 and of every
+pattern with at most 5 vertices and 3 edges), orients the pair, picks A's
+side and puts the subset side in search order.  Both give the same integers.
 All arithmetic is exact integer counting until one rational scale per
 polynomial at the end; `covariance_poly` subtracts the product of the means
 from the second moment in integers over the same scale.
@@ -153,6 +155,8 @@ def _in_search_order(pattern: PatternGraph) -> PatternGraph:
     along a path or cycle of the pattern get one key, or mask, when the
     labels run along it.  path:8's 127 nonempty edge subsets need 33
     embedding counts in this order, and 68-77 under six random labellings.
+    Ties of degree fall to the input labels, so on other patterns the work
+    can still vary a little with them.
     """
     k = pattern.vertex_count
     adjacent = _adjacency(pattern)
@@ -175,8 +179,8 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     """tables[i]: induced slot-pair masks of the pattern's i-vertex selections,
     with multiplicities, for i up to depth.
 
-    Without `aut` a selection is an i-subset in increasing vertex order (the
-    engine passes the pattern in search order for this pass).  With
+    Without `aut` a selection is an i-subset in increasing vertex order
+    (`_route` plans this pass on the pattern in search order).  With
     aut = |Aut(pattern)| it is an ordered i-tuple of distinct vertices, and
     the tuples are enumerated modulo the group: t and sigma(t) have the same
     mask, so a node with prefix p places one representative w of each orbit
@@ -265,42 +269,23 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
     return tables
 
 
-def _overlap_sums(
-    pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
-) -> list[int]:
-    """sums[i] = sum over i-subsets S of A and ordered i-tuples t of B of
-    2^popcount(mask_A(S) & mask_B(t)), for i = 0..min(kA, kB).
-
-    sums[0] = 1 counts the empty overlap.  The sum is symmetric in the two
-    patterns, so `_route` may take them in either order.
-    """
-    order, first, second, aut_first, aut_second = _route(pattern_a, pattern_b, aut_a, aut_b)
-    return order(first, second, aut_first, aut_second)
-
-
 def _sums_by_tuples(
     pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
 ) -> list[int]:
     """The overlap sums from the tuple tables of B (kB <= kA) and the tables
-    of A, paired mask by distinct mask.  A's are its tuple tables when that
-    pass should be shorter than its subset pass, and otherwise the subset
-    tables of A in search order (see the module docstring)."""
+    of A, paired mask by distinct mask: its tuple tables, B's own if A == B,
+    when aut_a is |Aut A|, and its subset tables when aut_a is 0, as `_route`
+    plans (see the module docstring)."""
     depth = pattern_b.vertex_count
     tuples = _mask_tables(pattern_b, depth, aut_b)
-    ordered = _tuple_count(pattern_a, aut_a) < 2**pattern_a.vertex_count
-    if ordered and pattern_a == pattern_b:
-        tables_a = tuples
-    elif ordered:
-        tables_a = _mask_tables(pattern_a, depth, aut_a)
-    else:
-        tables_a = _mask_tables(_in_search_order(pattern_a), depth)
+    tables_a = tuples if aut_a and pattern_a == pattern_b else _mask_tables(pattern_a, depth, aut_a)
     sums = [1] + [0] * depth
     for i in range(1, depth + 1):
         items_b = tuples[i].items()
         sums[i] = sum(
             count_a * sum(count_b << (mask_a & mask_b).bit_count() for mask_b, count_b in items_b)
             for mask_a, count_a in tables_a[i].items()
-        ) // (factorial(i) if ordered else 1)
+        ) // (factorial(i) if aut_a else 1)
     return sums
 
 
@@ -311,14 +296,15 @@ def _sums_by_edge_sets(
     (see the module docstring; either pattern may be P): J fixes the images
     of its u vertices, and the other i - u vertices of S are any of P's
     remaining vertices, placed in order on any of Q's.  The J are the edge
-    subsets of P in search order.  emb(J -> Q) is memoised per J relabelled
-    in order of first appearance, and counted modulo Aut Q (aut_b), every J
-    reading one orbit table of Q; the empty J has one map.  J's key and its
+    subsets of P, which `_route` puts in search order.  emb(J -> Q) is
+    memoised per J relabelled in order of first appearance, and counted
+    modulo Aut Q (aut_b), every J reading one orbit table of Q; the empty J
+    has one map.  J's key and its
     vertices in that order extend those of J less its highest edge, which
     come first in the enumeration, so each subset costs one step, not one
     per edge.
     """
-    edges = _in_search_order(pattern_a).sorted_edges()
+    edges = pattern_a.sorted_edges()
     adjacent = _adjacency(pattern_b)
     orbits = _StabiliserOrbits(pattern_b)  # shared by every J
     k_a, k_b = pattern_a.vertex_count, pattern_b.vertex_count
@@ -467,27 +453,34 @@ def _tuple_count(pattern: PatternGraph, aut: int) -> int:
 def _route(
     pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
 ) -> tuple[Callable[..., list[int]], PatternGraph, PatternGraph, int, int]:
-    """(order, first, second, aut_first, aut_second): the overlap sums are
-    order(first, second, aut_first, aut_second), whichever pattern comes first.
+    """The pair's plan (order, first, second, aut_first, aut_second): the
+    overlap sums are order(first, second, aut_first, aut_second), whichever
+    pattern comes first; sums[i] sums 2^popcount(mask_A(S) & mask_B(t)) over
+    i-subsets S of A and ordered i-tuples t of B, and sums[0] = 1.
 
     The tuple side has fewer vertices, then fewer tuple representatives, then,
     between two different patterns, the smaller sorted edge list.  The
     edge-set order takes P, the pattern with fewer edges (the other one on a
-    tie), as first, when its 2^eP subsets should cost less than the tuple
-    side's representatives and set-up (see the constant).
+    tie), as first, in search order, when its 2^eP subsets should cost less
+    than the tuple side's representatives and set-up (see the constant).
+    Else the tuple order takes A first: ordered (aut_first = |Aut A|) when
+    its tuple representatives are fewer than its 2^kA subsets, and otherwise
+    on its subsets (aut_first = 0) in search order.
     """
     key_a = pattern_a.vertex_count, _tuple_count(pattern_a, aut_a)
     key_b = pattern_b.vertex_count, _tuple_count(pattern_b, aut_b)
     if key_b > key_a or (
         key_b == key_a and pattern_a != pattern_b and pattern_b.sorted_edges() > pattern_a.sorted_edges()
     ):
-        pattern_a, pattern_b, aut_a, aut_b, key_b = pattern_b, pattern_a, aut_b, aut_a, key_a
+        pattern_a, pattern_b, aut_a, aut_b, key_a, key_b = pattern_b, pattern_a, aut_b, aut_a, key_b, key_a
     p, q, aut_p, aut_q = pattern_a, pattern_b, aut_a, aut_b  # B is the tuple side
     if p.edge_count > q.edge_count:
         p, q, aut_p, aut_q = q, p, aut_q, aut_p
     e = p.edge_count
     if 7 * 2**e * e * e * (aut_q + q.vertex_count) < 20 * aut_q * (key_b[1] + _TUPLE_SET_UP):
-        return _sums_by_edge_sets, p, q, aut_p, aut_q
+        return _sums_by_edge_sets, _in_search_order(p), q, aut_p, aut_q
+    if key_a[1] >= 2 ** key_a[0]:  # A's side is its subsets
+        pattern_a, aut_a = _in_search_order(pattern_a), 0
     return _sums_by_tuples, pattern_a, pattern_b, aut_a, aut_b
 
 
@@ -501,7 +494,8 @@ def second_moment_poly(pattern_a: PatternGraph, pattern_b: PatternGraph) -> Rati
     # sum_i overlap_i * (n)_{k-i} in integer coefficients, then one division
     k = pattern_a.vertex_count + pattern_b.vertex_count
     total = [0] * (k + 1)
-    for i, overlap in enumerate(_overlap_sums(pattern_a, pattern_b, aut_a, aut_b)):
+    order, *plan = _route(pattern_a, pattern_b, aut_a, aut_b)
+    for i, overlap in enumerate(order(*plan)):
         for power, coeff in enumerate(_falls(k - i)):
             total[power] += overlap * coeff
     scale = aut_a * aut_b * 2 ** (pattern_a.edge_count + pattern_b.edge_count)

@@ -1,7 +1,8 @@
 """Shared test fixtures: frozen golden coefficients, independent oracles,
 pattern writers, a backtracking subgraph counter, isomorphism classes of
 small patterns, a few named 8-vertex patterns, random patterns of a given
-symmetry and a runner for code in a fresh interpreter.
+symmetry, the engine's plan for a pair and a runner for code in a fresh
+interpreter.
 
 The golden coefficient tables below are frozen reference values for the six
 builtin patterns (ascending degree order, entry i = coefficient of n**i).
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import motifmoments
 from motifmoments import PatternGraph, RationalPolynomial, automorphism_count
+from motifmoments.moments import _route
 
 F = Fraction
 
@@ -172,6 +174,11 @@ def random_patterns(
         if automorphism_count(pattern) == aut:
             found.append(pattern)
     return found
+
+
+def route(pattern_a, pattern_b):
+    """`_route`'s plan for the pair: (order, first, second, aut_first, aut_second)."""
+    return _route(pattern_a, pattern_b, automorphism_count(pattern_a), automorphism_count(pattern_b))
 
 
 @cache

@@ -37,12 +37,12 @@ from motifmoments import (
     relabel,
     variance_poly,
 )
+import motifmoments.moments as moments_module
 from motifmoments.moments import (
     _embedding_count,
     _mask_tables,
     _sums_by_edge_sets,
     _sums_by_tuples,
-    _tuple_count,
 )
 from motifmoments.symmetry import _adjacency, _StabiliserOrbits
 
@@ -53,6 +53,7 @@ from helpers import (
     isomorphism_classes,
     ordered_embedding_count,
     random_patterns,
+    route,
 )
 from reference_engine import reference_covariance, reference_second_moment
 
@@ -260,16 +261,33 @@ def test_embedding_counts_modulo_the_target_group_match_backtracking(name):
         assert _embedding_count(key, u, adjacent, aut, orbits) == expected, (name, key)
 
 
+def tuple_plan(pattern_a, pattern_b):
+    """`_route`'s plan for the pair with the edge-set order ruled out, by a
+    set-up below every estimate: (first, second, aut_first, aut_second) of
+    the tuple order, A's side its ordered tuples when aut_first is set and
+    its subsets in search order when it is 0."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments_module, "_TUPLE_SET_UP", -(10**30))
+        order, *planned = route(pattern_a, pattern_b)
+    assert order is _sums_by_tuples
+    return planned
+
+
 def assert_orders_agree(pattern_a, pattern_b):
-    """Both summation orders give the same overlap sums, the edge-set order
-    with either pattern as P, the one whose edge subsets it takes, whatever
-    their edge counts (the tuple order takes the pattern with fewer vertices
-    second).  The edge-set order counts its embeddings modulo the target's
-    automorphism group."""
+    """The overlap sums of the pair's plan from `_route` equal those of both
+    summation orders taken otherwise: the edge-set order with either pattern,
+    as labelled, as P, the one whose edge subsets it takes, whatever their
+    edge counts, and the tuple order with the pattern with fewer vertices
+    second and A's side as `_route` plans it (that depends on A alone).  The
+    edge-set order counts its embeddings modulo the target's automorphism
+    group."""
+    order, *planned = route(pattern_a, pattern_b)
+    tuples = order(*planned)
     if pattern_b.vertex_count > pattern_a.vertex_count:
         pattern_a, pattern_b = pattern_b, pattern_a
     auts = automorphism_count(pattern_a), automorphism_count(pattern_b)
-    tuples = _sums_by_tuples(pattern_a, pattern_b, *auts)
+    side_a, _, aut_side, _ = tuple_plan(pattern_a, pattern_a)
+    assert _sums_by_tuples(side_a, pattern_b, aut_side, auts[1]) == tuples, (pattern_a, pattern_b)
     assert _sums_by_edge_sets(pattern_a, pattern_b, *auts) == tuples, (pattern_a, pattern_b)
     if pattern_b != pattern_a:
         reverse = _sums_by_edge_sets(pattern_b, pattern_a, *reversed(auts))
@@ -309,11 +327,10 @@ def relabelled(pattern, seed):
 
 @pytest.mark.parametrize("name,counts", [("path:7", 20), ("path:8", 33), ("cycle:8", 100)])
 def test_edge_set_work_does_not_depend_on_labels(monkeypatch, name, counts):
-    # P's edge subsets are keyed in its search order, so any labelling needs
-    # as many embedding counts as the builtin's (random labels took about
-    # twice as many, and 1.5 times for cycle:8, when they were keyed as given)
-    import motifmoments.moments as moments_module
-
+    # `_route` hands the edge-set order P in its search order, so any
+    # labelling needs as many embedding counts as the builtin's (random labels
+    # took about twice as many, and 1.5 times for cycle:8, when they were
+    # keyed as given)
     made = []
     embedding_count = moments_module._embedding_count
 
@@ -322,15 +339,33 @@ def test_edge_set_work_does_not_depend_on_labels(monkeypatch, name, counts):
         return embedding_count(*args)
 
     monkeypatch.setattr(moments_module, "_embedding_count", counting)
+
+    def planned_sums(pattern):
+        made.clear()
+        order, *planned = route(pattern, pattern)
+        assert order is _sums_by_edge_sets, pattern
+        return order(*planned)
+
     pattern = builtin(name)
-    aut = automorphism_count(pattern)
-    expected = _sums_by_edge_sets(pattern, pattern, aut, aut)
+    expected = planned_sums(pattern)
     assert len(made) == counts
     for seed in range(5):
-        copy = relabelled(pattern, seed)
-        made.clear()
-        assert _sums_by_edge_sets(copy, copy, aut, aut) == expected, (name, seed)
+        assert planned_sums(relabelled(pattern, seed)) == expected, (name, seed)
         assert len(made) == counts, (name, seed)
+
+
+@pytest.mark.parametrize("name,masks", [("cycle:7", 46), ("cycle:6", 26), ("path:5", 12)])
+def test_tuple_order_subset_side_does_not_depend_on_labels(name, masks):
+    # `_route` hands the tuple order A's subset side in its search order, so
+    # any labelling has as many distinct subset masks, over levels 1..k, as
+    # the builtin's (58-62, 30-32 and 15-16 under these random labels with A
+    # taken as labelled)
+    pattern = builtin(name)
+    for copy in [pattern] + [relabelled(pattern, seed) for seed in range(5)]:
+        order, first, _, aut_first, _ = route(copy, copy)
+        assert order is _sums_by_tuples and aut_first == 0, copy
+        tables = _mask_tables(first, first.vertex_count, aut_first)
+        assert sum(map(len, tables[1:])) == masks, copy
 
 
 ISOLATED = {
@@ -389,8 +424,9 @@ def sums_over_subsets(pattern_a, pattern_b):
 
 
 def routed_to_tuples(pattern):
-    """Whether the engine takes this pattern's subset side over its tuples."""
-    return _tuple_count(pattern, automorphism_count(pattern)) < 2**pattern.vertex_count
+    """Whether `_route` plans this pattern's A side of the tuple order on its
+    ordered tuples rather than its subsets."""
+    return tuple_plan(pattern, pattern)[2] > 0
 
 
 def assert_tuple_side_agrees(pattern_a, pattern_b):

@@ -26,6 +26,7 @@ from motifmoments import (
     relabel,
     second_moment_poly,
     variance_poly,
+    verify,
 )
 from motifmoments.moments import _mask_tables, _route, _sums_by_edge_sets, _sums_by_tuples
 
@@ -37,6 +38,7 @@ from helpers import (
     falling_from_roots,
     isomorphism_classes,
     random_patterns,
+    route,
     run_child,
 )
 
@@ -236,6 +238,31 @@ def test_automorphisms_searched_at_most_once_per_pattern_per_call(monkeypatch):
     assert report.aut_a == report.aut_b == 8
 
 
+def test_each_covariance_calls_the_module_second_moment_once(monkeypatch):
+    # perfbench's tracer wraps the module-level second_moment_poly and counts
+    # mask pairs from the two patterns of each call, so covariance_poly calls
+    # it exactly once, by that name, with the caller's patterns
+    import motifmoments.moments as moments_module
+
+    calls = []
+    second = moments_module.second_moment_poly
+
+    def spying(pattern_a, pattern_b):
+        calls.append((pattern_a, pattern_b))
+        return second(pattern_a, pattern_b)
+
+    monkeypatch.setattr(moments_module, "second_moment_poly", spying)
+    square, edge, triangle = builtin("square"), builtin("edge"), builtin("triangle")
+    for call, expected in [
+        (lambda: covariance_poly(edge, triangle), (edge, triangle)),
+        (lambda: variance_poly(square), (square, square)),
+        (lambda: verify(triangle, triangle, range(4)), (triangle, triangle)),
+    ]:
+        calls.clear()
+        call()
+        assert calls == [expected]
+
+
 @pytest.mark.parametrize("name", ["clique:8", "star:7"])
 def test_symmetric_pattern_variance_is_fast(name):
     # the ordered tuples are enumerated one per automorphism orbit, not all
@@ -292,11 +319,6 @@ def test_moment_calls_leave_no_cyclic_garbage(name_a, name_b):
     finally:
         gc.enable()
     assert gc.collect() == 0
-
-
-def route(pattern_a, pattern_b):
-    """`_route` for the pair: (order, first, second, aut_first, aut_second)."""
-    return _route(pattern_a, pattern_b, automorphism_count(pattern_a), automorphism_count(pattern_b))
 
 
 def edge_sets_chosen(pattern_a, pattern_b):
