@@ -21,16 +21,21 @@ where a mask is the induced edge set on the i slots.  The inner sum is
 taken in one of two orders, whichever is expected to cost less.
 
 Tuple order: the masks of every ordered tuple of B and every subset of A
-are built in one pass per pattern and aggregated by multiplicity, so the
-pair loop runs over distinct masks only.  Tuples in one orbit of the
-automorphism group share their mask, so the tuple pass visits one
-representative per orbit, about e * k! / |Aut| of them and at most e * k!,
-and counts each by its orbit size.  A pass has two phases: the prefixes
-whose point stabiliser is nontrivial are walked depth first, off a stack of
-prefixes, and the subtree below a prefix whose stabiliser is trivial, where
-every representative stands for |Aut| tuples, is expanded a level at a time
-in bulk.  Every prefix of the subset pass and of an |Aut| = 1 tuple pass is
-of the second kind, so those passes expand one subtree per first vertex.
+are built in one pass per pattern.  Tuples in one orbit of the automorphism
+group share their mask, so the tuple pass visits one representative per
+orbit, about e * k! / |Aut| of them and at most e * k!, and counts each by
+its orbit size.  A pass has two phases: the prefixes whose point stabiliser
+is nontrivial are walked depth first, off a stack of prefixes, and counted
+in one table per level; the subtree below a prefix whose stabiliser is
+trivial, where every representative stands for |Aut| tuples, is expanded a
+level at a time in bulk into one plain list of masks per level.  Every
+prefix of the subset pass and of an |Aut| = 1 tuple pass is of the second
+kind, so those passes expand one subtree per first vertex.  The pair loop
+takes A's masks counted.  A short list of B's is counted too and paired one
+pair of distinct masks at a time; a long one is paired by a broadword
+kernel (`_broadword`), which takes |a & b| for one A mask a and every B
+mask b at once in a few whole-string passes, over B's whole list or, when A
+has many distinct masks, over B's distinct masks grouped by count.
 Where the representatives are fewer than A's 2^kA subsets, A's side is its
 ordered tuples too (B's own pass when A == B): the inner sum over B's
 tuples does not depend on the order of S, so each i-subset counts i! times
@@ -67,13 +72,13 @@ from the second moment in integers over the same scale.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Collection, Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, perm
-from operator import itemgetter
+from operator import itemgetter, lshift
 
-from .algebra import RationalPolynomial, _Record, falling_factorial_poly
+from .algebra import RationalPolynomial, _Record
 from .pattern import PatternGraph, _check_size
 from .symmetry import _adjacency, _StabiliserOrbits, automorphism_count
 
@@ -100,8 +105,12 @@ class MomentReport(_Record):
 
 @lru_cache(maxsize=None)
 def _falls(k: int) -> tuple[int, ...]:
-    """The integer coefficients of (n)_k, lowest power first."""
-    return tuple(c.numerator for c in falling_factorial_poly(k).coeffs)
+    """The integer coefficients of (n)_k, lowest power first, by
+    (n)_k = (n)_{k-1} * (n - k + 1) in integers."""
+    if k == 0:
+        return (1,)
+    below = _falls(k - 1)
+    return tuple(high - (k - 1) * low for high, low in zip((0, *below), (*below, 0)))
 
 
 @lru_cache(maxsize=None)
@@ -175,9 +184,13 @@ def _in_search_order(pattern: PatternGraph) -> PatternGraph:
     return PatternGraph(k, [(label[u], label[v]) for u, v in pattern.edges])
 
 
-def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counter[int]]:
-    """tables[i]: induced slot-pair masks of the pattern's i-vertex selections,
-    with multiplicities, for i up to depth.
+def _mask_tables(
+    pattern: PatternGraph, depth: int, aut: int = 0
+) -> tuple[list[Counter[int]], list[list[int]]]:
+    """(tables, bulk): the induced slot-pair masks of the pattern's i-vertex
+    selections, with multiplicities, for i up to depth.  Level i is the
+    weighted Counter tables[i] together with the plain list bulk[i], each of
+    whose masks stands for max(aut, 1) selections.
 
     Without `aut` a selection is an i-subset in increasing vertex order
     (`_route` plans this pass on the pattern in search order).  With
@@ -194,17 +207,15 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
 
     The pass has two phases.  Prefixes whose stabiliser is nontrivial are
     walked depth first, each popped from a stack of the prefixes still to
-    extend.  Below a prefix whose stabiliser is trivial every selection
-    stands for max(aut, 1) of them (every prefix of the subset pass and of
-    an |Aut| = 1 tuple pass is such a prefix), so its subtree is expanded
-    one level at a time instead: one list of (mask, used, packed) states per
-    level, whose masks go into the table in one count (when aut > 1, one
-    addition of aut per mask, by `get` as in the walk: `+=` on a Counter
-    calls its Python-level `__missing__` for every new mask), and no states
-    for the deepest level, whose masks are counted as they are made.  Each
-    such subtree is expanded as soon as its root is made, and the root of
-    the pass is always walked, so an |Aut| = 1 pass holds the levels of one
-    first vertex's subtree at a time.
+    extend, and counted with their weights in `tables`.  Below a prefix whose
+    stabiliser is trivial every selection stands for max(aut, 1) of them
+    (every prefix of the subset pass and of an |Aut| = 1 tuple pass is such
+    a prefix), so its subtree is expanded one level at a time instead: one
+    list of (mask, used, packed) states per level, whose masks are appended
+    to `bulk` uncounted, and no states for the deepest level, whose masks are
+    appended as they are made.  Each such subtree is expanded as soon as its
+    root is made, and the root of the pass is always walked, so an
+    |Aut| = 1 pass holds the states of one first vertex's subtree at a time.
 
     Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing w at slot p adds
     the pairs of p with the slots of w's placed neighbours.  Those travel down
@@ -220,6 +231,7 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
         spread[v] |= 1 << u * d
     orbits = _StabiliserOrbits(pattern)
     tables: list[Counter[int]] = [Counter() for _ in range(depth + 1)]
+    bulk: list[list[int]] = [[] for _ in range(depth + 1)]
     after = _candidates(k, aut > 0)
     scale = max(aut, 1)  # the weight of a prefix with a trivial stabiliser
 
@@ -234,20 +246,13 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
                 ]
                 if not states:  # a subset's subtree ends once no vertex is left above it
                     return
-                masks = map(itemgetter(0), states)
+                bulk[size + 1] += map(itemgetter(0), states)
             else:
-                masks = (
+                bulk[size + 1] += (
                     mask | (packed >> w * d & field) << shift
                     for mask, used, packed in states
                     for w in after[used]
                 )
-            if scale == 1:
-                tables[size + 1].update(masks)
-            else:
-                table = tables[size + 1]
-                get = table.get
-                for grown in masks:
-                    table[grown] = get(grown, 0) + scale
 
     walk = [(0, 1, 0, 0, 0)]  # (size, weight, mask, used, packed) of each walked prefix
     while walk:
@@ -266,27 +271,152 @@ def _mask_tables(pattern: PatternGraph, depth: int, aut: int = 0) -> list[Counte
                     expand(size + 1, [state])
                 else:
                     walk.append((size + 1, count, *state))
-    return tables
+    return tables, bulk
 
 
 def _sums_by_tuples(
     pattern_a: PatternGraph, pattern_b: PatternGraph, aut_a: int, aut_b: int
 ) -> list[int]:
     """The overlap sums from the tuple tables of B (kB <= kA) and the tables
-    of A, paired mask by distinct mask: its tuple tables, B's own if A == B,
-    when aut_a is |Aut A|, and its subset tables when aut_a is 0, as `_route`
-    plans (see the module docstring)."""
+    of A: its tuple tables, B's own if A == B, when aut_a is |Aut A|, and its
+    subset tables when aut_a is 0, as `_route` plans (see the module docstring).
+
+    A level's pair loop takes A's masks counted.  When B's list at the level
+    is short, B's masks are counted too and paired one pair of distinct
+    masks at a time; a long list is paired by `_bulk_pairs`, apart from B's
+    walked masks and with B's weight |Aut B| taken out.  The widest levels
+    come first and each is freed once summed, so a wide level's kernel never
+    runs beside a wider level's masks.
+    """
     depth = pattern_b.vertex_count
-    tuples = _mask_tables(pattern_b, depth, aut_b)
-    tables_a = tuples if aut_a and pattern_a == pattern_b else _mask_tables(pattern_a, depth, aut_a)
+    tables_b, bulk_b = _mask_tables(pattern_b, depth, aut_b)
+    same = aut_a and pattern_a == pattern_b
+    tables_a, bulk_a = (tables_b, bulk_b) if same else _mask_tables(pattern_a, depth, aut_a)
+    scale_a = max(aut_a, 1)
     sums = [1] + [0] * depth
-    for i in range(1, depth + 1):
-        items_b = tuples[i].items()
-        sums[i] = sum(
-            count_a * sum(count_b << (mask_a & mask_b).bit_count() for mask_b, count_b in items_b)
-            for mask_a, count_a in tables_a[i].items()
-        ) // (factorial(i) if aut_a else 1)
+    for i in range(depth, 0, -1):
+        masks_b = bulk_b[i]
+        if len(masks_b) < _BROADWORD_MIN:
+            if masks_b:
+                _folded(tables_b[i], masks_b, aut_b)
+            if not same and bulk_a[i]:
+                _folded(tables_a[i], bulk_a[i], scale_a)
+            items_b = tables_b[i].items()
+            total = sum(  # `_pairs` inline: a call per level costs cliques 0.3-0.4 %
+                count_a * sum(count_b << (mask_a & mask_b).bit_count() for mask_b, count_b in items_b)
+                for mask_a, count_a in tables_a[i].items()
+            )
+        else:
+            # B's walked masks are paired apart from its list, so when A's
+            # side is B's own tables, A's list is folded into a copy
+            table_a = Counter(tables_b[i]) if same else tables_a[i]
+            items_a = _folded(table_a, bulk_a[i], scale_a).items()
+            width = (i * (i - 1) // 2 + 7) // 8
+            total = _pairs(items_a, tables_b[i].items()) + aut_b * _bulk_pairs(items_a, masks_b, width)
+            tables_b[i] = bulk_b[i] = tables_a[i] = bulk_a[i] = None
+        sums[i] = total // (factorial(i) if aut_a else 1)
     return sums
+
+
+def _folded(table: Counter[int], masks: list[int], scale: int) -> Counter[int]:
+    """The table, with scale added in place for each of the masks."""
+    if scale == 1:
+        table.update(masks)
+    else:
+        get = table.get  # `+=` on a Counter calls its Python-level __missing__ per new mask
+        for mask in masks:
+            table[mask] = get(mask, 0) + scale
+    return table
+
+
+def _pairs(items_a: Iterable[tuple[int, int]], items_b: Iterable[tuple[int, int]]) -> int:
+    """The sum of count_a * count_b * 2^|a & b| over two sides' (mask, count)
+    items, one pair of masks at a time."""
+    return sum(
+        count_a * sum(count_b << (mask_a & mask_b).bit_count() for mask_b, count_b in items_b)
+        for mask_a, count_a in items_a
+    )
+
+
+# A level's kernel is chosen from the sizes of its sides alone.  In process
+# (2-vCPU Intel Xeon, Python 3.11.7) `_broadword` costs about 2-4 us per A
+# mask plus 25-30 ns per B mask, and the pair loop 65-75 ns per pair, so the
+# kernel pays from about 64 B masks on.  Lists shorter than _BROADWORD_MIN
+# are counted and paired one pair at a time: every level of a pattern with
+# at most 5 vertices (at most 5! = 120 masks) and of clique:7/8 and
+# star:6/7 stays on that path.  Counting a list costs about 80 ns per mask,
+# as much as one A mask's pass over it, so B's list is counted only when A
+# has at least _COUNT_MIN distinct masks.  Both thresholds come from timing
+# every level of cycle:7 and of |Aut| = 1 patterns with 6-9 vertices each
+# way (BENCH_broadword.json).
+_BROADWORD_MIN = 128
+_COUNT_MIN = 16
+
+
+def _bulk_pairs(items_a: Collection[tuple[int, int]], masks_b: list[int], width: int) -> int:
+    """The sum of count_a * 2^|a & b| over A's (mask, count) items and the
+    masks of B's list, repeats included, B's masks being `width` bytes wide.
+
+    With few A masks the whole list goes to `_broadword`.  Otherwise it is
+    counted first, and the distinct masks that share a count are paired as
+    one group, by `_broadword` when the group is long enough and one pair at
+    a time when it is not.
+    """
+    if len(items_a) < _COUNT_MIN:
+        return _broadword(items_a, masks_b, width)
+    groups: dict[int, list[int]] = {}
+    for mask, count in Counter(masks_b).items():
+        groups.setdefault(count, []).append(mask)
+    total = 0
+    rest: list[tuple[int, int]] = []
+    for count, group in groups.items():
+        if len(group) < _BROADWORD_MIN:
+            rest += [(mask, count) for mask in group]
+        else:
+            total += count * _broadword(items_a, group, width)
+    return total + _pairs(items_a, rest)
+
+
+@lru_cache(maxsize=None)
+def _and_popcounts(byte: int) -> bytes:
+    """The translation table x -> |x & byte| of one byte."""
+    return bytes((x & byte).bit_count() for x in range(256))
+
+
+def _broadword(items_a: Iterable[tuple[int, int]], masks_b: list[int], width: int) -> int:
+    """The sum of count_a * 2^|a & b| over A's (mask, count) items and B's
+    masks, each below 2^(8 * width) with width <= 8, in whole-string passes
+    per A mask.
+
+    B's masks are packed 8 bytes each, lowest byte first, and sliced into
+    `width` byte planes, plane j holding byte j of every mask in turn (Knuth,
+    *TAOCP* 4A, 7.1.3, on broadword computing).  For an A mask a,
+    translating plane j by the table of a's byte j gives |a_j & b_j| for
+    every b at once, and the planes' sums, read as integers whose bytes
+    never carry (at most 8 * width < 256), give |a & b| per b.  Their
+    histogram comes from one `bytes.count` per value up to |a|.
+    """
+    from struct import pack
+
+    n = len(masks_b)
+    raw = pack(f"<{n}Q", *masks_b)
+    planes = [raw[j::8] for j in range(width)]
+    del raw  # 8 bytes a mask; the planes keep `width` of them
+    total = 0
+    for mask_a, count_a in items_a:
+        parts = [
+            plane.translate(_and_popcounts(byte))
+            for plane, byte in zip(planes, mask_a.to_bytes(width, "little"))
+            if byte
+        ]
+        if not parts:
+            total += count_a * n
+            continue
+        if len(parts) > 1:
+            parts = [sum(int.from_bytes(part, "little") for part in parts).to_bytes(n, "little")]
+        values = range(mask_a.bit_count() + 1)
+        total += count_a * sum(map(lshift, map(parts[0].count, values), values))
+    return total
 
 
 def _sums_by_edge_sets(
@@ -441,7 +571,17 @@ def _embedding_count(
 # tuples against 0.7-0.8 ms).  No set-up from 0 to 500 saves more than
 # 0.2 ms over both samples, less than their run-to-run spread, so it stays.
 # Under those labels cycle:7's edge sets took 0.88-1.17 times its tuple
-# time, where they took 1.01-1.33 times before.
+# time, where they took 1.01-1.33 times before.  Rechecked once the tuple
+# order paired long lists by the broadword kernel: over the route tests' 53
+# variance patterns and 14 covariance pairs, as built and under one seeded
+# relabelling (65 pairs each, the edge-set order untimed where the sparser
+# pattern has more than 16 edges; medians of 5 interleaved runs), the rule
+# loses 0.23 and 0.18 ms of 0.18 and 0.17 s, where it lost 0.35 and 0.37 ms
+# on the same pairs before.  Its largest loss moved from path:6 with an
+# |Aut| = 1 six-vertex pattern with 8 edges (tuples 1.2 times edge sets
+# before, 0.98-1.02 now) to star:5 with cycle:8 (tuples 1.2-1.4 times).
+# cycle:7 is no longer a tie: its edge sets take 1.55 times its tuple time.
+# The rule loses less than it did, so the constant stays.
 _TUPLE_SET_UP = 50
 
 

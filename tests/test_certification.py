@@ -7,9 +7,11 @@ engine's two summation orders, over tuples and over common edge sets,
 against each other, the edge-set order's embedding counts (taken modulo the
 target's automorphism group) against plain backtracking, and the tuple
 order's subset side taken over ordered tuples (as the engine does for
-symmetric patterns) against the same side taken over subsets; exact agreement with the permutation-pair reference
-engine (`reference_engine.py`) on every small pattern and a seeded sample
-of larger ones; the covariances of induced counts, transformed from the
+symmetric patterns) against the same side taken over subsets, and the
+tuple order's broadword pair loop, under every choice of kernel, against
+pairing every level one pair of masks at a time; exact agreement with the
+permutation-pair reference engine (`reference_engine.py`) on every small
+pattern and a seeded sample of larger ones; the covariances of induced counts, transformed from the
 engine's over every 4- and 5-vertex class, against a brute force over
 permutations and under complementation; and polynomial identities that hold
 at every n for every pattern the engine accepts.
@@ -39,6 +41,8 @@ from motifmoments import (
 )
 import motifmoments.moments as moments_module
 from motifmoments.moments import (
+    _broadword,
+    _bulk_pairs,
     _embedding_count,
     _mask_tables,
     _sums_by_edge_sets,
@@ -103,9 +107,19 @@ def tuple_tables_by_permutations(pattern):
     ]
 
 
+def folded_tables(pattern, depth, aut=0):
+    """`_mask_tables`' levels, each Counter with its list folded in: every
+    listed mask stands for max(aut, 1) selections."""
+    tables, bulk = _mask_tables(pattern, depth, aut)
+    return [
+        table + Counter({mask: count * max(aut, 1) for mask, count in Counter(masks).items()})
+        for table, masks in zip(tables, bulk)
+    ]
+
+
 def engine_tuple_tables(pattern):
     k = pattern.vertex_count
-    return _mask_tables(pattern, k, automorphism_count(pattern))
+    return folded_tables(pattern, k, automorphism_count(pattern))
 
 
 def test_tuple_tables_match_permutations_on_every_labeled_pattern_k5():
@@ -169,7 +183,7 @@ def test_subset_tables_match_combinations_on_every_labeled_pattern_k5():
         for pattern in all_labeled_patterns(k):
             expected = tables_by_enumeration(pattern, k, ordered=False)
             for depth in range(1, k + 1):
-                assert _mask_tables(pattern, depth) == expected[: depth + 1], (pattern, depth)
+                assert folded_tables(pattern, depth) == expected[: depth + 1], (pattern, depth)
 
 
 @pytest.mark.parametrize("k", [6, 7])
@@ -179,7 +193,7 @@ def test_subset_tables_match_combinations_on_sampled_patterns(k):
         pattern = random_pattern(rng, k)
         expected = tables_by_enumeration(pattern, k, ordered=False)
         for depth in range(1, k + 1):
-            assert _mask_tables(pattern, depth) == expected[: depth + 1], (pattern, depth)
+            assert folded_tables(pattern, depth) == expected[: depth + 1], (pattern, depth)
 
 
 def truncated_tuple_cases():
@@ -202,7 +216,7 @@ def test_truncated_tuple_tables_match_enumeration():
         top = min(k - 1, 4)
         expected = tables_by_enumeration(pattern, top, ordered=True)
         for depth in range(1, top + 1):
-            assert _mask_tables(pattern, depth, aut) == expected[: depth + 1], (pattern, depth)
+            assert folded_tables(pattern, depth, aut) == expected[: depth + 1], (pattern, depth)
 
 
 def test_variance_matches_reference_on_every_labeled_pattern_k5():
@@ -294,6 +308,21 @@ def assert_orders_agree(pattern_a, pattern_b):
         assert reverse == tuples, (pattern_a, pattern_b)
 
 
+def assert_orders_agree_at_k9():
+    """Both summation orders agree exactly on path:9, cycle:9 and two seeded
+    |Aut| = 1 patterns with 9 vertices and 10 and 12 edges.  Past the
+    engine's vertex cap `_route` and its orders are called directly; a CI
+    step runs this outside tier-1."""
+    patterns = [
+        PatternGraph(9, [(j, j + 1) for j in range(8)]),
+        PatternGraph(9, [(j, (j + 1) % 9) for j in range(9)]),
+        random_patterns(9, 10, 1, 1, random.Random(910))[0],
+        random_patterns(9, 12, 1, 1, random.Random(912))[0],
+    ]
+    for pattern in patterns:
+        assert_orders_agree(pattern, pattern)
+
+
 def test_summation_orders_agree_on_every_6_vertex_class_up_to_10_edges():
     pairs, classes = isomorphism_classes(6)
     assert len(classes) == 156
@@ -364,7 +393,7 @@ def test_tuple_order_subset_side_does_not_depend_on_labels(name, masks):
     for copy in [pattern] + [relabelled(pattern, seed) for seed in range(5)]:
         order, first, _, aut_first, _ = route(copy, copy)
         assert order is _sums_by_tuples and aut_first == 0, copy
-        tables = _mask_tables(first, first.vertex_count, aut_first)
+        tables = folded_tables(first, first.vertex_count, aut_first)
         assert sum(map(len, tables[1:])) == masks, copy
 
 
@@ -407,18 +436,24 @@ def test_summation_orders_agree_with_isolated_vertices(name):
         assert_orders_agree(pattern, other)
 
 
-def sums_over_subsets(pattern_a, pattern_b):
-    """The overlap sums with A's side always on its subset tables and B's on
-    its tuple tables (kB <= kA), paired mask by mask."""
+def pairs_one_at_a_time(items_a, items_b):
+    """The sum of count_a * count_b * 2^|a & b| over two sides' (mask,
+    count) items, one pair of masks at a time."""
+    return sum(
+        count_a * count_b << (mask_a & mask_b).bit_count()
+        for mask_a, count_a in items_a
+        for mask_b, count_b in items_b
+    )
+
+
+def sums_one_pair_at_a_time(pattern_a, pattern_b, aut_a, aut_b):
+    """The overlap sums of a tuple-order plan, every level of both sides
+    counted and paired one pair of masks at a time."""
     depth = pattern_b.vertex_count
-    subsets = _mask_tables(pattern_a, depth)
-    tuples = _mask_tables(pattern_b, depth, automorphism_count(pattern_b))
+    tables_a = folded_tables(pattern_a, depth, aut_a)
+    tables_b = folded_tables(pattern_b, depth, aut_b)
     return [1] + [
-        sum(
-            count_a * count_b << (mask_a & mask_b).bit_count()
-            for mask_a, count_a in subsets[i].items()
-            for mask_b, count_b in tuples[i].items()
-        )
+        pairs_one_at_a_time(tables_a[i].items(), tables_b[i].items()) // (factorial(i) if aut_a else 1)
         for i in range(1, depth + 1)
     ]
 
@@ -437,7 +472,7 @@ def assert_tuple_side_agrees(pattern_a, pattern_b):
     assert routed_to_tuples(pattern_a), pattern_a
     auts = automorphism_count(pattern_a), automorphism_count(pattern_b)
     tuples = _sums_by_tuples(pattern_a, pattern_b, *auts)
-    assert tuples == sums_over_subsets(pattern_a, pattern_b), (pattern_a, pattern_b)
+    assert tuples == sums_one_pair_at_a_time(pattern_a, pattern_b, 0, auts[1]), (pattern_a, pattern_b)
 
 
 def test_tuple_side_matches_subsets_on_every_labeled_pattern_k5():
@@ -478,6 +513,93 @@ def test_tuple_side_matches_subsets_on_symmetric_pairs(name_a, name_b):
     pattern_b = builtin(name_b)
     assert_tuple_side_agrees(pattern_a, pattern_b)
     assert_tuple_side_agrees(pattern_b, pattern_a)
+
+
+# The eight graphs on six vertices whose only automorphism is the identity,
+# as perfbench's asym6-1 to asym6-8.
+ASYM6 = {
+    "asym6-1": ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)),
+    "asym6-2": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 5)),
+    "asym6-3": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (3, 5)),
+    "asym6-4": ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4), (3, 5)),
+    "asym6-5": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4)),
+    "asym6-6": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 5)),
+    "asym6-7": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 5), (4, 5)),
+    "asym6-8": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (4, 5)),
+}
+
+# The patterns whose every pair-loop level is paired by the broadword
+# kernel and one pair at a time.  As `_route` plans them, A's side is the
+# ordered tuples of clique:8 and star:7 and the subsets of the others; the
+# patterns of ORDERED are paired over their ordered tuples too, passed
+# |Aut A| explicitly, so that A's side is B's own tables on long lists.
+PAIR_LOOP = {
+    **{name: PatternGraph(6, edges) for name, edges in ASYM6.items()},
+    "cycle:7": builtin("cycle:7"),
+    **SYMMETRIC_8,
+    "aut1-k7-e10": random_patterns(7, 10, 1, 1, random.Random(710))[0],
+    "aut2-k7-e13": random_patterns(7, 13, 2, 1, random.Random(713))[0],
+    "aut1-k8-e10": random_patterns(8, 10, 1, 1, random.Random(810))[0],
+}
+ORDERED = ("clique:8", "star:7", "cube", "square+square", "cycle:7")
+PAIR_LOOP_PLANS = [(name, "planned") for name in sorted(PAIR_LOOP)] + [(name, "ordered") for name in ORDERED]
+
+
+def pair_loop_plan(name, side):
+    """The tuple order's plan for the variance of PAIR_LOOP[name]: `_route`'s,
+    or with A's side on its ordered tuples."""
+    pattern = PAIR_LOOP[name]
+    if side == "ordered":
+        aut = automorphism_count(pattern)
+        return [pattern, pattern, aut, aut]
+    return tuple_plan(pattern, pattern)
+
+
+@pytest.mark.parametrize("name,side", PAIR_LOOP_PLANS)
+def test_broadword_pair_loop_matches_one_pair_at_a_time_on_every_level(name, side):
+    # every level of B's list, whatever its length: the kernel on the whole
+    # list, and on its distinct masks grouped by count, with every group and
+    # with none of them long enough for the kernel
+    pattern_a, pattern_b, aut_a, aut_b = pair_loop_plan(name, side)
+    assert (aut_a > 0) == (side == "ordered" or name in ("clique:8", "star:7"))
+    depth = pattern_b.vertex_count
+    tables_a = folded_tables(pattern_a, depth, aut_a)
+    bulk_b = _mask_tables(pattern_b, depth, aut_b)[1]
+    for i in range(1, depth + 1):
+        items_a, masks_b = tables_a[i].items(), bulk_b[i]
+        width = (i * (i - 1) // 2 + 7) // 8
+        expected = pairs_one_at_a_time(items_a, Counter(masks_b).items())
+        assert _broadword(items_a, masks_b, width) == expected, i
+        for count_min, broadword_min in (0, 1), (0, len(masks_b) + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(moments_module, "_COUNT_MIN", count_min)
+                patch.setattr(moments_module, "_BROADWORD_MIN", broadword_min)
+                assert _bulk_pairs(items_a, masks_b, width) == expected, i
+
+
+@pytest.mark.parametrize("name,side", PAIR_LOOP_PLANS)
+def test_tuple_order_matches_one_pair_at_a_time_with_every_kernel(name, side):
+    # the broadword kernel on every level that has a list, on the whole list
+    # and counted, and one pair at a time on every level
+    plan = pair_loop_plan(name, side)
+    expected = sums_one_pair_at_a_time(*plan)
+    for count_min, broadword_min in (10**9, 1), (0, 1), (0, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(moments_module, "_COUNT_MIN", count_min)
+            patch.setattr(moments_module, "_BROADWORD_MIN", broadword_min)
+            assert _sums_by_tuples(*plan) == expected, (count_min, broadword_min)
+
+
+@pytest.mark.parametrize(
+    "name_a,name_b", [("cycle:7", "asym6-5"), ("clique:8", "star:7"), ("aut1-k8-e10", "cycle:7")]
+)
+def test_tuple_order_matches_one_pair_at_a_time_on_covariance_pairs(name_a, name_b):
+    plan = tuple_plan(PAIR_LOOP[name_a], PAIR_LOOP[name_b])
+    expected = sums_one_pair_at_a_time(*plan)
+    assert _sums_by_tuples(*plan) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments_module, "_BROADWORD_MIN", 1)
+        assert _sums_by_tuples(*plan) == expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -28,7 +28,8 @@ from motifmoments import (
     variance_poly,
     verify,
 )
-from motifmoments.moments import _mask_tables, _route, _sums_by_edge_sets, _sums_by_tuples
+from motifmoments.algebra import falling_factorial_poly
+from motifmoments.moments import _falls, _mask_tables, _route, _sums_by_edge_sets, _sums_by_tuples
 
 from helpers import (
     GOLDEN_COV_EDGE_TRIANGLE,
@@ -50,6 +51,14 @@ BUILTIN_NAMES = ("node", "edge", "wedge", "triangle", "square", "k4")
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_mean_matches_golden(name):
     assert mean_poly(builtin(name)) == RationalPolynomial(GOLDEN_MEANS[name])
+
+
+def test_falls_are_the_falling_factorial_numerators():
+    # the engine's integer recurrence against the polynomial product
+    for k in range(17):
+        coeffs = falling_factorial_poly(k).coeffs
+        assert all(c.denominator == 1 for c in coeffs)
+        assert _falls(k) == tuple(c.numerator for c in coeffs), k
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -276,14 +285,34 @@ def test_symmetric_pattern_variance_is_fast(name):
     assert min(elapsed) < 0.05
 
 
+def test_patterns_up_to_5_vertices_never_reach_the_broadword_kernel(monkeypatch):
+    # a level of a pattern with at most 5 vertices holds at most 5! = 120
+    # masks, under the kernel's threshold, so the cold CLI's patterns are
+    # paired one pair at a time and never import what the kernel needs
+    import motifmoments.moments as moments_module
+
+    def refuse(*args):
+        raise AssertionError("broadword kernel reached")
+
+    monkeypatch.setattr(moments_module, "_broadword", refuse)
+    classes = [class_pattern(k, bits) for k in range(1, 6) for bits in isomorphism_classes(k)[1]]
+    assert len(classes) == 1 + 2 + 4 + 11 + 34
+    for pattern in classes:
+        variance_poly(pattern)
+        for other in builtin("clique:5"), builtin("path:5"), builtin("star:4"):
+            covariance_poly(pattern, other)
+
+
 def test_low_symmetry_variance_peak_memory():
     # the tuple pass expands one first vertex's subtree at a time, so its
-    # level lists stay small beside the tables it keeps: this k = 8, e = 16,
-    # |Aut| = 1 variance peaks at 1.15-1.17 times the tables' traced size
-    # (5.75-6.00 MB under Python 3.10-3.13), where expanding whole levels
-    # would take 1.9 times; a walk of one call per prefix, which holds only
-    # the path to the prefix, peaked at 5.35 MB under 3.11.  The tables are
-    # freed when the call returns, so a second call peaks no higher.
+    # level states stay small beside the mask lists it keeps, and the pair
+    # loop frees each wide level once summed: this k = 8, e = 16, |Aut| = 1
+    # variance peaks at 1.17-1.19 times the traced size of its two passes'
+    # tables and lists (4.86-5.28 MB under Python 3.10-3.13), where
+    # expanding whole levels would take 1.9 times; a walk of one call per
+    # prefix, which holds only the path to the prefix, peaked at 5.35 MB
+    # under 3.11.  The tables are freed when the call returns, so a second
+    # call peaks no higher.
     pattern = random_patterns(8, 16, 1, 1, random.Random(816))[0]
     variance_poly(pattern)  # fills the per-k caches outside the trace
     tracemalloc.start()
