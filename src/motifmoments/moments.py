@@ -31,11 +31,11 @@ trivial, where every representative stands for |Aut| tuples, is expanded a
 level at a time in bulk into one plain list of masks per level.  Every
 prefix of the subset pass and of an |Aut| = 1 tuple pass is of the second
 kind, so those passes expand one subtree per first vertex.  The pair loop
-takes A's masks counted.  A short list of B's is counted too and paired one
-pair of distinct masks at a time; a long one is paired by a broadword
-kernel (`_broadword`), which takes |a & b| for one A mask a and every B
-mask b at once in a few whole-string passes, over B's whole list or, when A
-has many distinct masks, over B's distinct masks grouped by count.
+takes A's masks counted.  A long list of B's facing few distinct A masks is
+paired whole by a broadword kernel (`_broadword.broadword`, imported only
+then), which takes |a & b| for one A mask a and every B mask b at once in a
+few whole-string passes; any other list is counted too and paired one pair
+of distinct masks at a time.
 Where the representatives are fewer than A's 2^kA subsets, A's side is its
 ordered tuples too (B's own pass when A == B): the inner sum over B's
 tuples does not depend on the order of S, so each i-subset counts i! times
@@ -72,11 +72,11 @@ from the second moment in integers over the same scale.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, perm
-from operator import itemgetter, lshift
+from operator import itemgetter
 
 from .algebra import RationalPolynomial, _Record
 from .pattern import PatternGraph, _check_size
@@ -282,11 +282,12 @@ def _sums_by_tuples(
     subset tables when aut_a is 0, as `_route` plans (see the module docstring).
 
     A level's pair loop takes A's masks counted.  When B's list at the level
-    is short, B's masks are counted too and paired one pair of distinct
-    masks at a time; a long list is paired by `_bulk_pairs`, apart from B's
-    walked masks and with B's weight |Aut B| taken out.  The widest levels
-    come first and each is freed once summed, so a wide level's kernel never
-    runs beside a wider level's masks.
+    is wide and A has few distinct masks, the list is paired whole by the
+    broadword kernel, apart from B's walked masks and with B's weight |Aut B|
+    taken out; otherwise B's masks are counted too and paired one pair of
+    distinct masks at a time.  The widest levels come first and each is freed
+    once summed, so a wide level's pair loop never runs beside a wider
+    level's masks.
     """
     depth = pattern_b.vertex_count
     tables_b, bulk_b = _mask_tables(pattern_b, depth, aut_b)
@@ -295,25 +296,21 @@ def _sums_by_tuples(
     scale_a = max(aut_a, 1)
     sums = [1] + [0] * depth
     for i in range(depth, 0, -1):
-        masks_b = bulk_b[i]
-        if len(masks_b) < _BROADWORD_MIN:
-            if masks_b:
-                _folded(tables_b[i], masks_b, aut_b)
-            if not same and bulk_a[i]:
-                _folded(tables_a[i], bulk_a[i], scale_a)
-            items_b = tables_b[i].items()
-            total = sum(  # `_pairs` inline: a call per level costs cliques 0.3-0.4 %
-                count_a * sum(count_b << (mask_a & mask_b).bit_count() for mask_b, count_b in items_b)
-                for mask_a, count_a in tables_a[i].items()
-            )
+        table_b, masks_b = tables_b[i], bulk_b[i]
+        wide = len(masks_b) >= _BROADWORD_MIN
+        if same:  # A's side is B's own tables; keep B's walked masks apart if wide
+            table_a = _folded(Counter(table_b) if wide else table_b, masks_b, scale_a)
         else:
-            # B's walked masks are paired apart from its list, so when A's
-            # side is B's own tables, A's list is folded into a copy
-            table_a = Counter(tables_b[i]) if same else tables_a[i]
-            items_a = _folded(table_a, bulk_a[i], scale_a).items()
-            width = (i * (i - 1) // 2 + 7) // 8
-            total = _pairs(items_a, tables_b[i].items()) + aut_b * _bulk_pairs(items_a, masks_b, width)
-            tables_b[i] = bulk_b[i] = tables_a[i] = bulk_a[i] = None
+            table_a = _folded(tables_a[i], bulk_a[i], scale_a)
+        if wide and len(table_a) < _COUNT_MIN:
+            from ._broadword import broadword
+
+            listed = broadword(table_a.items(), masks_b, i * (i - 1) // 2)
+            total = _pairs(table_a.items(), table_b.items()) + aut_b * listed
+        else:
+            table_b = table_a if same else _folded(table_b, masks_b, aut_b)
+            total = _pairs(table_a.items(), table_b.items())
+        tables_a[i] = tables_b[i] = bulk_a[i] = bulk_b[i] = None
         sums[i] = total // (factorial(i) if aut_a else 1)
     return sums
 
@@ -331,92 +328,32 @@ def _folded(table: Counter[int], masks: list[int], scale: int) -> Counter[int]:
 
 def _pairs(items_a: Iterable[tuple[int, int]], items_b: Iterable[tuple[int, int]]) -> int:
     """The sum of count_a * count_b * 2^|a & b| over two sides' (mask, count)
-    items, one pair of masks at a time."""
-    return sum(
-        count_a * sum(count_b << (mask_a & mask_b).bit_count() for mask_b, count_b in items_b)
-        for mask_a, count_a in items_a
-    )
-
-
-# A level's kernel is chosen from the sizes of its sides alone.  In process
-# (2-vCPU Intel Xeon, Python 3.11.7) `_broadword` costs about 2-4 us per A
-# mask plus 25-30 ns per B mask, and the pair loop 65-75 ns per pair, so the
-# kernel pays from about 64 B masks on.  Lists shorter than _BROADWORD_MIN
-# are counted and paired one pair at a time: every level of a pattern with
-# at most 5 vertices (at most 5! = 120 masks) and of clique:7/8 and
-# star:6/7 stays on that path.  Counting a list costs about 80 ns per mask,
-# as much as one A mask's pass over it, so B's list is counted only when A
-# has at least _COUNT_MIN distinct masks.  Both thresholds come from timing
-# every level of cycle:7 and of |Aut| = 1 patterns with 6-9 vertices each
-# way (BENCH_broadword.json).
-_BROADWORD_MIN = 128
-_COUNT_MIN = 16
-
-
-def _bulk_pairs(items_a: Collection[tuple[int, int]], masks_b: list[int], width: int) -> int:
-    """The sum of count_a * 2^|a & b| over A's (mask, count) items and the
-    masks of B's list, repeats included, B's masks being `width` bytes wide.
-
-    With few A masks the whole list goes to `_broadword`.  Otherwise it is
-    counted first, and the distinct masks that share a count are paired as
-    one group, by `_broadword` when the group is long enough and one pair at
-    a time when it is not.
-    """
-    if len(items_a) < _COUNT_MIN:
-        return _broadword(items_a, masks_b, width)
-    groups: dict[int, list[int]] = {}
-    for mask, count in Counter(masks_b).items():
-        groups.setdefault(count, []).append(mask)
-    total = 0
-    rest: list[tuple[int, int]] = []
-    for count, group in groups.items():
-        if len(group) < _BROADWORD_MIN:
-            rest += [(mask, count) for mask in group]
-        else:
-            total += count * _broadword(items_a, group, width)
-    return total + _pairs(items_a, rest)
-
-
-@lru_cache(maxsize=None)
-def _and_popcounts(byte: int) -> bytes:
-    """The translation table x -> |x & byte| of one byte."""
-    return bytes((x & byte).bit_count() for x in range(256))
-
-
-def _broadword(items_a: Iterable[tuple[int, int]], masks_b: list[int], width: int) -> int:
-    """The sum of count_a * 2^|a & b| over A's (mask, count) items and B's
-    masks, each below 2^(8 * width) with width <= 8, in whole-string passes
-    per A mask.
-
-    B's masks are packed 8 bytes each, lowest byte first, and sliced into
-    `width` byte planes, plane j holding byte j of every mask in turn (Knuth,
-    *TAOCP* 4A, 7.1.3, on broadword computing).  For an A mask a,
-    translating plane j by the table of a's byte j gives |a_j & b_j| for
-    every b at once, and the planes' sums, read as integers whose bytes
-    never carry (at most 8 * width < 256), give |a & b| per b.  Their
-    histogram comes from one `bytes.count` per value up to |a|.
-    """
-    from struct import pack
-
-    n = len(masks_b)
-    raw = pack(f"<{n}Q", *masks_b)
-    planes = [raw[j::8] for j in range(width)]
-    del raw  # 8 bytes a mask; the planes keep `width` of them
+    items, one pair of masks at a time.  Plain loops, not `sum` over
+    generators: a level of a clique holds one mask a side, and the two
+    generators cost more than its one pair."""
     total = 0
     for mask_a, count_a in items_a:
-        parts = [
-            plane.translate(_and_popcounts(byte))
-            for plane, byte in zip(planes, mask_a.to_bytes(width, "little"))
-            if byte
-        ]
-        if not parts:
-            total += count_a * n
-            continue
-        if len(parts) > 1:
-            parts = [sum(int.from_bytes(part, "little") for part in parts).to_bytes(n, "little")]
-        values = range(mask_a.bit_count() + 1)
-        total += count_a * sum(map(lshift, map(parts[0].count, values), values))
+        row = 0
+        for mask_b, count_b in items_b:
+            row += count_b << (mask_a & mask_b).bit_count()
+        total += count_a * row
     return total
+
+
+# A level's pair loop is chosen from the sizes of its sides alone.  In
+# process (2-vCPU Intel Xeon, Python 3.11.7) the broadword kernel costs
+# about 2-4 us per A mask plus 25-30 ns per B mask, and the pair loop 65-75
+# ns per pair of distinct masks, so the kernel pays from about 64 B masks
+# on.  Lists shorter than _BROADWORD_MIN are counted and paired one pair at
+# a time: every level of a pattern with at most 5 vertices (at most 5! =
+# 120 masks) and of clique:7/8 and star:6/7 stays on that path.  Counting a
+# list costs about 80 ns per mask, as much as one A mask's kernel pass over
+# it, so from _COUNT_MIN distinct A masks on B's list is counted and paired
+# one pair of distinct masks at a time instead.  Both thresholds come from
+# timing every level of cycle:7 and of |Aut| = 1 patterns with 6-9 vertices
+# each way (BENCH_broadword.json).
+_BROADWORD_MIN = 128
+_COUNT_MIN = 16
 
 
 def _sums_by_edge_sets(
@@ -576,11 +513,11 @@ def _embedding_count(
 # variance patterns and 14 covariance pairs, as built and under one seeded
 # relabelling (65 pairs each, the edge-set order untimed where the sparser
 # pattern has more than 16 edges; medians of 5 interleaved runs), the rule
-# loses 0.23 and 0.18 ms of 0.18 and 0.17 s, where it lost 0.35 and 0.37 ms
+# loses 0.22 and 0.17 ms of 0.18 s each, where it lost 0.35 and 0.37 ms
 # on the same pairs before.  Its largest loss moved from path:6 with an
 # |Aut| = 1 six-vertex pattern with 8 edges (tuples 1.2 times edge sets
-# before, 0.98-1.02 now) to star:5 with cycle:8 (tuples 1.2-1.4 times).
-# cycle:7 is no longer a tie: its edge sets take 1.55 times its tuple time.
+# before, 0.97-1.0 now) to star:5 with cycle:8 (tuples 1.2-1.4 times).
+# cycle:7 is no longer a tie: its edge sets take 1.6 times its tuple time.
 # The rule loses less than it did, so the constant stays.
 _TUPLE_SET_UP = 50
 

@@ -40,9 +40,8 @@ from motifmoments import (
     variance_poly,
 )
 import motifmoments.moments as moments_module
+from motifmoments._broadword import broadword
 from motifmoments.moments import (
-    _broadword,
-    _bulk_pairs,
     _embedding_count,
     _mask_tables,
     _sums_by_edge_sets,
@@ -557,9 +556,7 @@ def pair_loop_plan(name, side):
 
 @pytest.mark.parametrize("name,side", PAIR_LOOP_PLANS)
 def test_broadword_pair_loop_matches_one_pair_at_a_time_on_every_level(name, side):
-    # every level of B's list, whatever its length: the kernel on the whole
-    # list, and on its distinct masks grouped by count, with every group and
-    # with none of them long enough for the kernel
+    # the kernel on every level of B's list, whatever its length
     pattern_a, pattern_b, aut_a, aut_b = pair_loop_plan(name, side)
     assert (aut_a > 0) == (side == "ordered" or name in ("clique:8", "star:7"))
     depth = pattern_b.vertex_count
@@ -567,23 +564,20 @@ def test_broadword_pair_loop_matches_one_pair_at_a_time_on_every_level(name, sid
     bulk_b = _mask_tables(pattern_b, depth, aut_b)[1]
     for i in range(1, depth + 1):
         items_a, masks_b = tables_a[i].items(), bulk_b[i]
-        width = (i * (i - 1) // 2 + 7) // 8
         expected = pairs_one_at_a_time(items_a, Counter(masks_b).items())
-        assert _broadword(items_a, masks_b, width) == expected, i
-        for count_min, broadword_min in (0, 1), (0, len(masks_b) + 1):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(moments_module, "_COUNT_MIN", count_min)
-                patch.setattr(moments_module, "_BROADWORD_MIN", broadword_min)
-                assert _bulk_pairs(items_a, masks_b, width) == expected, i
+        assert broadword(items_a, masks_b, i * (i - 1) // 2) == expected, i
+
+
+# (_COUNT_MIN, _BROADWORD_MIN): the kernel on every level that has a list,
+# and one pair at a time on every level
+EVERY_KERNEL = (10**9, 1), (0, 10**9)
 
 
 @pytest.mark.parametrize("name,side", PAIR_LOOP_PLANS)
 def test_tuple_order_matches_one_pair_at_a_time_with_every_kernel(name, side):
-    # the broadword kernel on every level that has a list, on the whole list
-    # and counted, and one pair at a time on every level
     plan = pair_loop_plan(name, side)
     expected = sums_one_pair_at_a_time(*plan)
-    for count_min, broadword_min in (10**9, 1), (0, 1), (0, 10**9):
+    for count_min, broadword_min in EVERY_KERNEL:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(moments_module, "_COUNT_MIN", count_min)
             patch.setattr(moments_module, "_BROADWORD_MIN", broadword_min)
@@ -597,9 +591,11 @@ def test_tuple_order_matches_one_pair_at_a_time_on_covariance_pairs(name_a, name
     plan = tuple_plan(PAIR_LOOP[name_a], PAIR_LOOP[name_b])
     expected = sums_one_pair_at_a_time(*plan)
     assert _sums_by_tuples(*plan) == expected
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(moments_module, "_BROADWORD_MIN", 1)
-        assert _sums_by_tuples(*plan) == expected
+    for count_min, broadword_min in EVERY_KERNEL:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(moments_module, "_COUNT_MIN", count_min)
+            patch.setattr(moments_module, "_BROADWORD_MIN", broadword_min)
+            assert _sums_by_tuples(*plan) == expected, (count_min, broadword_min)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

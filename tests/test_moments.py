@@ -4,6 +4,7 @@ import gc
 import inspect
 import math
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -288,27 +289,23 @@ def test_symmetric_pattern_variance_is_fast(name):
 def test_patterns_up_to_5_vertices_never_reach_the_broadword_kernel(monkeypatch):
     # a level of a pattern with at most 5 vertices holds at most 5! = 120
     # masks, under the kernel's threshold, so the cold CLI's patterns are
-    # paired one pair at a time and never import what the kernel needs
-    import motifmoments.moments as moments_module
-
-    def refuse(*args):
-        raise AssertionError("broadword kernel reached")
-
-    monkeypatch.setattr(moments_module, "_broadword", refuse)
+    # paired one pair at a time and never import the kernel's module
+    monkeypatch.delitem(sys.modules, "motifmoments._broadword", raising=False)
     classes = [class_pattern(k, bits) for k in range(1, 6) for bits in isomorphism_classes(k)[1]]
     assert len(classes) == 1 + 2 + 4 + 11 + 34
     for pattern in classes:
         variance_poly(pattern)
         for other in builtin("clique:5"), builtin("path:5"), builtin("star:4"):
             covariance_poly(pattern, other)
+    assert "motifmoments._broadword" not in sys.modules
 
 
 def test_low_symmetry_variance_peak_memory():
     # the tuple pass expands one first vertex's subtree at a time, so its
     # level states stay small beside the mask lists it keeps, and the pair
-    # loop frees each wide level once summed: this k = 8, e = 16, |Aut| = 1
-    # variance peaks at 1.17-1.19 times the traced size of its two passes'
-    # tables and lists (4.86-5.28 MB under Python 3.10-3.13), where
+    # loop frees each level once summed: this k = 8, e = 16, |Aut| = 1
+    # variance peaks at 1.14-1.16 times the traced size of its two passes'
+    # tables and lists (4.72-5.15 MB under Python 3.10-3.13), where
     # expanding whole levels would take 1.9 times; a walk of one call per
     # prefix, which holds only the path to the prefix, peaked at 5.35 MB
     # under 3.11.  The tables are freed when the call returns, so a second
