@@ -29,13 +29,17 @@ is nontrivial are walked depth first, off a stack of prefixes, and counted
 in one table per level; the subtree below a prefix whose stabiliser is
 trivial, where every representative stands for |Aut| tuples, is expanded a
 level at a time in bulk into one plain list of masks per level.  Every
-prefix of the subset pass and of an |Aut| = 1 tuple pass is of the second
-kind, so those passes expand one subtree per first vertex.  The pair loop
-takes A's masks counted.  A long list of B's facing few distinct A masks is
-paired whole by a broadword kernel (`_broadword.broadword`, imported only
-then), which takes |a & b| for one A mask a and every B mask b at once in a
-few whole-string passes; any other list is counted too and paired one pair
-of distinct masks at a time.
+prefix of the subset pass is of the second kind, so it expands one subtree
+per first vertex.  An |Aut| = 1 tuple pass visits every ordered tuple, so
+its masks are the adjacency read at slot pairs that do not depend on the
+pattern: it is built column-wise instead, each level as byte planes (one
+byte of every mask per plane) from a per-k table of slot columns, with no
+integer per tuple (`_broadword.tuple_levels`, imported only then).  The pair
+loop takes A's masks counted.  A long level of B's facing few distinct A
+masks is paired whole by a broadword kernel (`_broadword.broadword`), which
+takes |a & b| for one A mask a and every B mask b at once in a few
+whole-string passes over B's byte planes, a list's packed first; any other
+level is counted too and paired one pair of distinct masks at a time.
 Where the representatives are fewer than A's 2^kA subsets, A's side is its
 ordered tuples too (B's own pass when A == B): the inner sum over B's
 tuples does not depend on the order of S, so each i-subset counts i! times
@@ -53,10 +57,11 @@ Q.  This costs at most 2^(eP) embedding counts and does not grow with k!.
 The subsets J are those of P in its search order, each relabelled in order
 of first appearance, and one count serves every J with the same relabelling,
 so a path or cycle needs as many counts under any labelling (the search
-order breaks ties of degree by label, so other patterns' counts can move by
-a few percent).  Each count is taken modulo Aut Q as the tuple pass is: maps
-that differ by an automorphism fixing the images placed so far have as many
-completions, so one per orbit is followed.  Both orders read a stabiliser's
+order breaks ties of degree by the neighbours' degrees, then by label, so
+other patterns' counts can move by a few percent).  Each count is taken
+modulo Aut Q as the tuple pass is: maps that differ by an automorphism
+fixing the images placed so far have as many completions, so one per orbit
+is followed.  Both orders read a stabiliser's
 orbits from one `symmetry._StabiliserOrbits` table per pattern and pass.
 
 `_route` alone plans a pair, the same in either argument order: it picks
@@ -72,7 +77,7 @@ from the second moment in integers over the same scale.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, perm
@@ -157,19 +162,26 @@ def _candidates(k: int, ordered: bool) -> tuple[tuple[int, ...], ...]:
 
 def _in_search_order(pattern: PatternGraph) -> PatternGraph:
     """The pattern relabelled in depth-first order: each component from an
-    unlabelled vertex of least degree, the neighbours of least degree first.
+    unlabelled vertex of least degree, the neighbours of least degree first,
+    ties of degree broken by the sorted degrees of the vertices' neighbours.
 
     The overlap sums do not depend on the labels, but the work of a subset
     side does: its edge subsets, or vertex subsets, that differ by a shift
     along a path or cycle of the pattern get one key, or mask, when the
     labels run along it.  path:8's 127 nonempty edge subsets need 33
     embedding counts in this order, and 68-77 under six random labellings.
-    Ties of degree fall to the input labels, so on other patterns the work
-    can still vary a little with them.
+    With the neighbours' degrees, the subset sides of the asym6 patterns
+    have one count of distinct masks under 40 random labellings, where
+    asym6-3, asym6-7 and asym6-8 had 29-32 by degree alone.  Remaining ties
+    fall to the input labels, so on other patterns the work can still vary a
+    little with them.
     """
     k = pattern.vertex_count
     adjacent = _adjacency(pattern)
-    by_degree = sorted(range(k), key=lambda x: adjacent[x].bit_count())
+    degree = [a.bit_count() for a in adjacent]
+    by_degree = sorted(
+        range(k), key=lambda x: (degree[x], sorted(degree[y] for y in range(k) if adjacent[x] >> y & 1))
+    )
     label = [0] * k
     seen = 0
     for root in by_degree:
@@ -186,11 +198,12 @@ def _in_search_order(pattern: PatternGraph) -> PatternGraph:
 
 def _mask_tables(
     pattern: PatternGraph, depth: int, aut: int = 0
-) -> tuple[list[Counter[int]], list[list[int]]]:
+) -> tuple[list[Counter[int]], list[Collection[int]]]:
     """(tables, bulk): the induced slot-pair masks of the pattern's i-vertex
     selections, with multiplicities, for i up to depth.  Level i is the
-    weighted Counter tables[i] together with the plain list bulk[i], each of
-    whose masks stands for max(aut, 1) selections.
+    weighted Counter tables[i] together with bulk[i], each of whose masks
+    stands for max(aut, 1) selections: a plain list, or for an |Aut| = 1
+    tuple pass byte planes (`_broadword.Planes`), which iterate as masks.
 
     Without `aut` a selection is an i-subset in increasing vertex order
     (`_route` plans this pass on the pattern in search order).  With
@@ -209,13 +222,21 @@ def _mask_tables(
     walked depth first, each popped from a stack of the prefixes still to
     extend, and counted with their weights in `tables`.  Below a prefix whose
     stabiliser is trivial every selection stands for max(aut, 1) of them
-    (every prefix of the subset pass and of an |Aut| = 1 tuple pass is such
-    a prefix), so its subtree is expanded one level at a time instead: one
-    list of (mask, used, packed) states per level, whose masks are appended
-    to `bulk` uncounted, and no states for the deepest level, whose masks are
-    appended as they are made.  Each such subtree is expanded as soon as its
-    root is made, and the root of the pass is always walked, so an
-    |Aut| = 1 pass holds the states of one first vertex's subtree at a time.
+    (every prefix of the subset pass is such a prefix), so its subtree is
+    expanded one level at a time instead: one list of (mask, used, packed)
+    states per level, whose masks are appended to `bulk` uncounted, and no
+    states for the deepest level, whose masks are appended as they are made.
+    Each such subtree is expanded as soon as its root is made, and the root
+    of the pass is always walked, so the subset pass holds the states of one
+    first vertex's subtree at a time.
+
+    An |Aut| = 1 tuple pass takes neither phase.  Every ordered tuple is its
+    own representative, so `_broadword.tuple_levels` reads each level off a
+    per-k table of slot-pair columns, at about a tenth of the walk's cost
+    (0.04 against 0.41 ms at k = 6, 1.9 against 28 ms at k = 8), and keeps
+    a few bytes a mask where a list of integers took tens.  Where a prefix's
+    stabiliser is nontrivial, the subtrees hang below prefixes that depend
+    on the pattern, so the walk stays.
 
     Slot pair (j, p), j < p, is bit p(p-1)/2 + j, so placing w at slot p adds
     the pairs of p with the slots of w's placed neighbours.  Those travel down
@@ -223,6 +244,10 @@ def _mask_tables(
     the last slot pairs with no later one), holds w's.  Placing w at slot p
     ORs in bit x*d + p for each neighbour x of w, so nothing is undone.
     """
+    if aut == 1:
+        from ._broadword import tuple_levels
+
+        return [Counter() for _ in range(depth + 1)], tuple_levels(pattern, depth)
     k = pattern.vertex_count
     d = depth - 1
     spread, field = [0] * k, (1 << d) - 1
@@ -281,13 +306,13 @@ def _sums_by_tuples(
     of A: its tuple tables, B's own if A == B, when aut_a is |Aut A|, and its
     subset tables when aut_a is 0, as `_route` plans (see the module docstring).
 
-    A level's pair loop takes A's masks counted.  When B's list at the level
-    is wide and A has few distinct masks, the list is paired whole by the
-    broadword kernel, apart from B's walked masks and with B's weight |Aut B|
-    taken out; otherwise B's masks are counted too and paired one pair of
-    distinct masks at a time.  The widest levels come first and each is freed
-    once summed, so a wide level's pair loop never runs beside a wider
-    level's masks.
+    A level's pair loop takes A's masks counted.  When B's bulk at the level
+    is wide and A has few distinct masks, it is paired whole by the
+    broadword kernel, as byte planes (a list packed first), apart from B's
+    walked masks and with B's weight |Aut B| taken out; otherwise B's masks
+    are counted too and paired one pair of distinct masks at a time.  The
+    widest levels come first and each is freed once summed, so a wide
+    level's pair loop never runs beside a wider level's masks.
     """
     depth = pattern_b.vertex_count
     tables_b, bulk_b = _mask_tables(pattern_b, depth, aut_b)
@@ -303,9 +328,11 @@ def _sums_by_tuples(
         else:
             table_a = _folded(tables_a[i], bulk_a[i], scale_a)
         if wide and len(table_a) < _COUNT_MIN:
-            from ._broadword import broadword
+            from ._broadword import Planes, broadword
 
-            listed = broadword(table_a.items(), masks_b, i * (i - 1) // 2)
+            if isinstance(masks_b, list):
+                masks_b = Planes.packed(masks_b, i * (i - 1) // 2)
+            listed = broadword(table_a.items(), masks_b)
             total = _pairs(table_a.items(), table_b.items()) + aut_b * listed
         else:
             table_b = table_a if same else _folded(table_b, masks_b, aut_b)
@@ -315,7 +342,7 @@ def _sums_by_tuples(
     return sums
 
 
-def _folded(table: Counter[int], masks: list[int], scale: int) -> Counter[int]:
+def _folded(table: Counter[int], masks: Iterable[int], scale: int) -> Counter[int]:
     """The table, with scale added in place for each of the masks."""
     if scale == 1:
         table.update(masks)
@@ -342,16 +369,27 @@ def _pairs(items_a: Iterable[tuple[int, int]], items_b: Iterable[tuple[int, int]
 
 # A level's pair loop is chosen from the sizes of its sides alone.  In
 # process (2-vCPU Intel Xeon, Python 3.11.7) the broadword kernel costs
-# about 2-4 us per A mask plus 25-30 ns per B mask, and the pair loop 65-75
-# ns per pair of distinct masks, so the kernel pays from about 64 B masks
-# on.  Lists shorter than _BROADWORD_MIN are counted and paired one pair at
-# a time: every level of a pattern with at most 5 vertices (at most 5! =
-# 120 masks) and of clique:7/8 and star:6/7 stays on that path.  Counting a
-# list costs about 80 ns per mask, as much as one A mask's kernel pass over
-# it, so from _COUNT_MIN distinct A masks on B's list is counted and paired
-# one pair of distinct masks at a time instead.  Both thresholds come from
-# timing every level of cycle:7 and of |Aut| = 1 patterns with 6-9 vertices
-# each way (BENCH_broadword.json).
+# about 2-4 us per A mask plus 5-25 ns per B mask, packing a list into
+# planes 11-14 ns per mask, and the pair loop 65-75 ns per pair of distinct
+# masks, so the kernel pays from about 64 B masks on.  Lists shorter than
+# _BROADWORD_MIN are counted and paired one pair at a time: every level of a
+# pattern with at most 5 vertices (at most 5! = 120 masks) and of clique:7/8
+# and star:6/7 stays on that path.  Counting costs 30-80 ns per mask for a
+# list and 1.2 times that for planes, which are interleaved into rows
+# first, about as much as one A mask's kernel pass; so from _COUNT_MIN
+# distinct A masks on B's masks are counted and paired one pair of distinct
+# masks at a time instead.  Both thresholds come from timing every level of
+# cycle:7 and of |Aut| = 1 patterns with 6-9 vertices each way
+# (BENCH_broadword.json).  Retimed once |Aut| = 1 tuple passes gave the
+# kernel planes with no packing, on 85 levels with at least 100 masks
+# (cycle:7, one |Aut| = 2 and 16 |Aut| = 1 patterns with 6-8 vertices):
+# both still hold.  Levels of 120-336 planes' masks with 5-8 A masks take
+# 0.65-1.45 times as long counted as by the kernel, and the levels' total is
+# flat for any _COUNT_MIN from 12 to 24.  No threshold on A alone fits
+# k = 8, where level 4 (25-31 A masks, 1,680 B masks, at most 2^6 of them
+# distinct) is 2.4-3.7 times faster counted and level 6 (26-28 A masks,
+# 20,160 B masks) 1.1-1.6 times faster by the kernel on four patterns of
+# five (0.85 on the fifth).
 _BROADWORD_MIN = 128
 _COUNT_MIN = 16
 

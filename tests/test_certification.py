@@ -40,7 +40,7 @@ from motifmoments import (
     variance_poly,
 )
 import motifmoments.moments as moments_module
-from motifmoments._broadword import broadword
+from motifmoments._broadword import Planes, broadword
 from motifmoments.moments import (
     _embedding_count,
     _mask_tables,
@@ -153,6 +153,27 @@ SYMMETRIC_8 = {
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_8))
 def test_tuple_tables_match_permutations_on_symmetric_k8(name):
     pattern = SYMMETRIC_8[name]
+    assert engine_tuple_tables(pattern) == tuple_tables_by_permutations(pattern)
+
+
+# The eight graphs on six vertices whose only automorphism is the identity,
+# as perfbench's asym6-1 to asym6-8.
+ASYM6 = {
+    "asym6-1": ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)),
+    "asym6-2": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 5)),
+    "asym6-3": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (3, 5)),
+    "asym6-4": ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4), (3, 5)),
+    "asym6-5": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4)),
+    "asym6-6": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 5)),
+    "asym6-7": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 5), (4, 5)),
+    "asym6-8": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (4, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASYM6))
+def test_tuple_tables_match_permutations_on_asymmetric_k6(name):
+    # an |Aut| = 1 tuple pass reads its levels off the per-k slot columns
+    pattern = PatternGraph(6, ASYM6[name])
     assert engine_tuple_tables(pattern) == tuple_tables_by_permutations(pattern)
 
 
@@ -322,6 +343,14 @@ def assert_orders_agree_at_k9():
         assert_orders_agree(pattern, pattern)
 
 
+def assert_tuple_tables_match_permutations_at_k9():
+    """The tuple tables of a seeded |Aut| = 1 pattern with 9 vertices and 12
+    edges, whose masks are 36 bits wide, equal the count over its 9!
+    permutations.  A CI step runs this outside tier-1."""
+    pattern = random_patterns(9, 12, 1, 1, random.Random(912))[0]
+    assert engine_tuple_tables(pattern) == tuple_tables_by_permutations(pattern)
+
+
 def test_summation_orders_agree_on_every_6_vertex_class_up_to_10_edges():
     pairs, classes = isomorphism_classes(6)
     assert len(classes) == 156
@@ -382,14 +411,19 @@ def test_edge_set_work_does_not_depend_on_labels(monkeypatch, name, counts):
         assert len(made) == counts, (name, seed)
 
 
-@pytest.mark.parametrize("name,masks", [("cycle:7", 46), ("cycle:6", 26), ("path:5", 12)])
+@pytest.mark.parametrize(
+    "name,masks",
+    [("cycle:7", 46), ("cycle:6", 26), ("path:5", 12), ("asym6-3", 30), ("asym6-7", 31), ("asym6-8", 30)],
+)
 def test_tuple_order_subset_side_does_not_depend_on_labels(name, masks):
     # `_route` hands the tuple order A's subset side in its search order, so
     # any labelling has as many distinct subset masks, over levels 1..k, as
-    # the builtin's (58-62, 30-32 and 15-16 under these random labels with A
-    # taken as labelled)
-    pattern = builtin(name)
-    for copy in [pattern] + [relabelled(pattern, seed) for seed in range(5)]:
+    # the pattern as given (49-64, 27-32 and 14-16 under these random labels
+    # with A taken as labelled).  The search order breaks ties of degree by
+    # the neighbours' degrees; by degree alone the asym6 patterns took 29-30,
+    # 29-31 and 29-32 under these labels
+    pattern = PatternGraph(6, ASYM6[name]) if name in ASYM6 else builtin(name)
+    for copy in [pattern] + [relabelled(pattern, seed) for seed in range(40)]:
         order, first, _, aut_first, _ = route(copy, copy)
         assert order is _sums_by_tuples and aut_first == 0, copy
         tables = folded_tables(first, first.vertex_count, aut_first)
@@ -514,19 +548,6 @@ def test_tuple_side_matches_subsets_on_symmetric_pairs(name_a, name_b):
     assert_tuple_side_agrees(pattern_b, pattern_a)
 
 
-# The eight graphs on six vertices whose only automorphism is the identity,
-# as perfbench's asym6-1 to asym6-8.
-ASYM6 = {
-    "asym6-1": ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)),
-    "asym6-2": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 5)),
-    "asym6-3": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (3, 5)),
-    "asym6-4": ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4), (3, 5)),
-    "asym6-5": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4)),
-    "asym6-6": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 5)),
-    "asym6-7": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 5), (4, 5)),
-    "asym6-8": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (4, 5)),
-}
-
 # The patterns whose every pair-loop level is paired by the broadword
 # kernel and one pair at a time.  As `_route` plans them, A's side is the
 # ordered tuples of clique:8 and star:7 and the subsets of the others; the
@@ -556,7 +577,9 @@ def pair_loop_plan(name, side):
 
 @pytest.mark.parametrize("name,side", PAIR_LOOP_PLANS)
 def test_broadword_pair_loop_matches_one_pair_at_a_time_on_every_level(name, side):
-    # the kernel on every level of B's list, whatever its length
+    # the kernel on every level of B's masks, whatever their number: the
+    # planes of an |Aut| = 1 tuple pass as they are, a row-built pass's list
+    # packed
     pattern_a, pattern_b, aut_a, aut_b = pair_loop_plan(name, side)
     assert (aut_a > 0) == (side == "ordered" or name in ("clique:8", "star:7"))
     depth = pattern_b.vertex_count
@@ -565,7 +588,22 @@ def test_broadword_pair_loop_matches_one_pair_at_a_time_on_every_level(name, sid
     for i in range(1, depth + 1):
         items_a, masks_b = tables_a[i].items(), bulk_b[i]
         expected = pairs_one_at_a_time(items_a, Counter(masks_b).items())
-        assert broadword(items_a, masks_b, i * (i - 1) // 2) == expected, i
+        if aut_b == 1:
+            assert isinstance(masks_b, Planes), i
+        else:
+            masks_b = Planes.packed(masks_b, i * (i - 1) // 2)
+        assert broadword(items_a, masks_b) == expected, i
+
+
+@pytest.mark.parametrize("bits", [0, 1, 6, 8, 9, 16, 21, 28, 32, 33, 36, 45, 64])
+def test_planes_give_back_their_masks(bits):
+    # rows of 1, 2, 4 and 8 bytes, the last for masks wider than 32 bits
+    # (k = 9 has 36)
+    rng = random.Random(bits)
+    masks = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(200)]
+    planes = Planes.packed(masks, bits)
+    assert len(planes.planes) == -(-bits // 8) and len(planes) == len(masks)
+    assert list(planes) == masks
 
 
 # (_COUNT_MIN, _BROADWORD_MIN): the kernel on every level that has a list,

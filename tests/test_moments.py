@@ -300,21 +300,15 @@ def test_patterns_up_to_5_vertices_never_reach_the_broadword_kernel(monkeypatch)
     assert "motifmoments._broadword" not in sys.modules
 
 
-def test_low_symmetry_variance_peak_memory():
-    # the tuple pass expands one first vertex's subtree at a time, so its
-    # level states stay small beside the mask lists it keeps, and the pair
-    # loop frees each level once summed: this k = 8, e = 16, |Aut| = 1
-    # variance peaks at 1.14-1.16 times the traced size of its two passes'
-    # tables and lists (4.72-5.15 MB under Python 3.10-3.13), where
-    # expanding whole levels would take 1.9 times; a walk of one call per
-    # prefix, which holds only the path to the prefix, peaked at 5.35 MB
-    # under 3.11.  The tables are freed when the call returns, so a second
-    # call peaks no higher.
-    pattern = random_patterns(8, 16, 1, 1, random.Random(816))[0]
-    variance_poly(pattern)  # fills the per-k caches outside the trace
+def traced_variance(pattern):
+    """(kept, peak): the traced size of the tables and lists of the
+    variance's two table passes, and the traced peak of two variance calls.
+    The per-k caches are filled outside the trace."""
+    variance_poly(pattern)
+    _, first, second, aut_first, aut_second = route(pattern, pattern)
     tracemalloc.start()
     try:
-        tables = _mask_tables(pattern, 8, 1), _mask_tables(pattern, 8, 0)
+        tables = _mask_tables(second, 8, aut_second), _mask_tables(first, 8, aut_first)
         kept = tracemalloc.get_traced_memory()[0]
         del tables
         tracemalloc.reset_peak()
@@ -323,8 +317,24 @@ def test_low_symmetry_variance_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return kept, peak
+
+
+def test_low_symmetry_variance_peak_memory():
+    # An |Aut| = 1 tuple pass keeps its levels as byte planes, a few bytes a
+    # mask, and the pair loop frees each level once summed.  This k = 8,
+    # e = 16 variance keeps 0.35 MB and peaks at 0.64 MB (Python 3.11), about
+    # half of it the count of level 6's 20,160 masks; when the pass built an
+    # integer per tuple it peaked at 4.72-5.15 MB under Python 3.10-3.13.
+    _, peak = traced_variance(random_patterns(8, 16, 1, 1, random.Random(816))[0])
+    assert peak < 0.8e6
+    # A tuple pass with |Aut| > 1 expands one first vertex's subtree at a
+    # time, so its level states stay small beside the mask lists it keeps:
+    # this k = 8, e = 12, |Aut| = 2 variance peaks at 1.16 times the traced
+    # size of its two passes (2.68 MB, Python 3.11).  The tables are freed
+    # when the call returns, so a second call peaks no higher.
+    kept, peak = traced_variance(random_patterns(8, 12, 2, 1, random.Random(812))[0])
     assert peak < 1.5 * kept
-    assert peak < 1.5 * 5.35e6
 
 
 @pytest.mark.parametrize(
