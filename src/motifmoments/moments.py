@@ -193,7 +193,8 @@ def _in_search_order(pattern: PatternGraph) -> PatternGraph:
                 seen |= 1 << x
                 fresh = adjacent[x] & ~seen
                 stack += [y for y in reversed(by_degree) if fresh >> y & 1]
-    return PatternGraph(k, [(label[u], label[v]) for u, v in pattern.edges])
+    edges = [(x, y) if (x := label[u]) < (y := label[v]) else (y, x) for u, v in pattern.edges]
+    return PatternGraph._of_valid(k, frozenset(edges))
 
 
 def _mask_tables(

@@ -80,6 +80,16 @@ class PatternGraph(_Record):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", frozenset(normalized))
 
+    @classmethod
+    def _of_valid(cls, vertex_count: int, edges: frozenset[tuple[int, int]]) -> PatternGraph:
+        """The pattern with edges already normalised as `__init__` stores
+        them, built without checking them again; for the engine's own
+        relabellings, never for outside input."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "vertex_count", vertex_count)
+        object.__setattr__(pattern, "edges", edges)
+        return pattern
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)

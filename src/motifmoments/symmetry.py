@@ -2,21 +2,33 @@
 
 An automorphism is a vertex permutation that maps edges to edges.  The
 moment formulas need only the order of the group, so it is counted, never
-listed: by orbit-stabiliser along the chain of point stabilisers.  Orbits
-come from a backtracking search (degree pruning) for an automorphism that
-maps one vertex to another; every automorphism it finds is kept, and all its
-cycles are merged into the orbit partition, so one search often settles a
-whole orbit.  The partition starts from the twin classes: when u and v are
-twins, N(u) - {v} = N(v) - {u}, the transposition (u v) is an automorphism,
-so clique:8, whose automorphisms are all products of such, needs no search.
-This is the orbit and twin pruning of McKay and Piperno, *Practical graph
-isomorphism II* (2014), applied to the search itself.  The moment engine
-reads the stabilisers' orbits from one `_StabiliserOrbits` table per pattern.
-The tests cross-check the count and the orbits against a brute-force filter
+listed.  u and v are twins when N(u) - {v} = N(v) - {u}; then the
+transposition (u v) is an automorphism, so every permutation inside a twin
+class (a maximal set of mutual twins; a vertex with no twin is a class of
+its own) is one.  An automorphism maps twin classes onto twin classes of the
+same size and vertex degree.  So when no two classes share both, it maps
+each class onto itself: the group is the product of the symmetric groups on
+the classes, |Aut| is the product of the |C|!, and the maps fixing a vertex
+set F have as orbits the classes less F.  `_exchangeable` tests this, and
+both the count and the orbit table read it off with no search; cliques,
+stars and 70 of the 156 six-vertex classes take it.
+
+Otherwise, as for every pattern without twins, the count runs
+orbit-stabiliser along the chain of point stabilisers.  Orbits come from a
+backtracking search (degree pruning) for an automorphism that maps one
+vertex to another; every automorphism it finds is kept, and all its cycles
+are merged into the orbit partition, so one search often settles a whole
+orbit.  The partition starts from the twin classes, two free twins sharing
+an orbit.  This is the orbit and twin pruning of McKay and Piperno,
+*Practical graph isomorphism II* (2014).  The moment engine reads the
+stabilisers' orbits from one `_StabiliserOrbits` table per pattern.  The
+tests cross-check the count and the orbits against a brute-force filter
 over all k! permutations.
 """
 
 from __future__ import annotations
+
+from math import factorial, prod
 
 from .pattern import PatternGraph
 
@@ -41,6 +53,26 @@ def _twin_classes(adjacent: list[int]) -> list[int]:
         for key in (around, around | 1 << u):
             groups[key] = groups.get(key, 0) | 1 << u
     return [members for members in groups.values() if members & (members - 1)]
+
+
+def _exchangeable(adjacent: list[int], twins: list[int]) -> list[int] | None:
+    """Every twin class, singletons included, as bitmasks, when no two
+    classes have both the same size and the same vertex degree; None when
+    two do.  The twins are `_twin_classes(adjacent)`.
+
+    Twins have one degree, and an automorphism maps twins to twins, so it
+    maps each class onto a class of the same size and degree: with no two
+    alike, onto itself.  Every permutation inside a class is a product of
+    twin swaps, so the automorphisms are exactly the products of
+    permutations inside the classes.  A pattern without twins (k >= 2) has
+    two vertices of one degree, so it always gets None.
+    """
+    if not twins and len(adjacent) > 1:
+        return None
+    paired = sum(twins)
+    classes = twins + [1 << v for v in range(len(adjacent)) if not paired >> v & 1]
+    kinds = {(c.bit_count(), adjacent[(c & -c).bit_length() - 1].bit_count()) for c in classes}
+    return classes if len(kinds) == len(classes) else None
 
 
 def _seeded(k: int, fixed: int, twins: list[int]) -> list[int]:
@@ -127,25 +159,34 @@ def _settle(adjacent: list[int], fixed: int, v: int, label: list[int]) -> None:
 
 class _StabiliserOrbits(dict):
     """table[fixed]: the orbits of the automorphisms that fix every vertex in
-    the bitmask `fixed`, on the other vertices, as {least vertex: size}.  Each
-    is settled on its first lookup and kept; the twin classes that seed the
-    searches are found on the first, so an unread table costs nothing more."""
+    the bitmask `fixed`, on the other vertices, as {least vertex: size}, in
+    order of least vertex.  Each is found on its first lookup and kept; the
+    twin classes are found on the first, so an unread table costs nothing
+    more.  When `_exchangeable` gives the classes, each orbit is a class less
+    `fixed` (the module docstring says why); otherwise the orbits are settled
+    by search, seeded with the twin classes."""
 
     def __init__(self, pattern: PatternGraph) -> None:
         self._adjacent = _adjacency(pattern)
         self._twins: list[int] | None = None
+        self._classes: list[int] | None = None
 
     def __missing__(self, fixed: int) -> dict[int, int]:
         adjacent = self._adjacent
         if self._twins is None:
             self._twins = _twin_classes(adjacent)
-        label = _seeded(len(adjacent), fixed, self._twins)
-        sizes: dict[int, int] = {}
-        for w in range(len(adjacent)):
-            if not fixed >> w & 1:
-                if label[w] == w:
-                    _settle(adjacent, fixed, w, label)
-                sizes[label[w]] = sizes.get(label[w], 0) + 1
+            self._classes = _exchangeable(adjacent, self._twins)
+        if self._classes is not None:
+            orbits = [members & ~fixed for members in self._classes]
+            sizes = dict(sorted(((o & -o).bit_length() - 1, o.bit_count()) for o in orbits if o))
+        else:
+            sizes = {}
+            label = _seeded(len(adjacent), fixed, self._twins)
+            for w in range(len(adjacent)):
+                if not fixed >> w & 1:
+                    if label[w] == w:
+                        _settle(adjacent, fixed, w, label)
+                    sizes[label[w]] = sizes.get(label[w], 0) + 1
         self[fixed] = sizes
         return sizes
 
@@ -153,13 +194,19 @@ class _StabiliserOrbits(dict):
 def automorphism_count(pattern: PatternGraph) -> int:
     """Order of the automorphism group; always divides k!.
 
-    |Aut| is the product over v of the orbit size of v under the maps that
-    fix 0..v-1 (orbit-stabiliser along the point-stabiliser chain).  Each
-    level's partition starts from the twin classes, found once per call.
+    When `_exchangeable` gives the twin classes, no automorphism moves one
+    class onto another and each permutes its class freely, so |Aut| is the
+    product of the |C|!.  Otherwise |Aut| is the product over v of the orbit
+    size of v under the maps that fix 0..v-1 (orbit-stabiliser along the
+    point-stabiliser chain), each level's partition seeded with the twin
+    classes, found once per call.
     """
     k = pattern.vertex_count
     adjacent = _adjacency(pattern)
     twins = _twin_classes(adjacent)
+    classes = _exchangeable(adjacent, twins)
+    if classes is not None:
+        return prod(factorial(members.bit_count()) for members in classes)
     order = 1
     for v in range(k):
         label = _seeded(k, (1 << v) - 1, twins)

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 import motifmoments.symmetry as symmetry_module
 from motifmoments import PatternGraph, automorphism_count, builtin, relabel, variance_poly
-from motifmoments.symmetry import _adjacency, _StabiliserOrbits, _twin_classes
+from motifmoments.symmetry import _adjacency, _exchangeable, _StabiliserOrbits, _twin_classes
 from helpers import (
     automorphism_count_bruteforce,
     automorphisms_bruteforce,
+    class_pattern,
     cube,
     disjoint_union,
+    isomorphism_classes,
+    random_patterns,
 )
 
 KNOWN_ORDERS = {
@@ -111,16 +114,20 @@ def orbits_bruteforce(group, k, fixed):
     return sizes
 
 
-def assert_orbits_agree_with_bruteforce(pattern):
+def assert_orbits_agree_with_bruteforce(pattern, most_fixed=None):
+    """The orbit table agrees with the brute force at every fixed set, or at
+    those of at most `most_fixed` vertices."""
     k = pattern.vertex_count
     group = [
         (g, sum(1 << v for v in range(k) if g[v] == v)) for g in automorphisms_bruteforce(pattern)
     ]
     orbits = _StabiliserOrbits(pattern)
-    for fixed in range(1 << k):
+    checked = [f for f in range(1 << k) if most_fixed is None or f.bit_count() <= most_fixed]
+    for fixed in checked:
         expected = orbits_bruteforce(group, k, fixed)
         assert orbits[fixed] == expected, (pattern, fixed)
-    assert len(orbits) == 1 << k  # each entry is kept
+        assert list(orbits[fixed]) == sorted(expected), (pattern, fixed)
+    assert len(orbits) == len(checked)  # each entry is kept
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -148,6 +155,20 @@ def test_orbits_agree_with_bruteforce_on_every_small_pattern(k):
         assert_orbits_agree_with_bruteforce(pattern)
 
 
+def test_orbits_agree_with_bruteforce_on_every_6_vertex_class():
+    # 70 of the 156 classes read their orbits off the twin classes, the
+    # other 86 (50 of them with twins) search
+    pairs, classes = isomorphism_classes(6)
+    assert len(classes) == 156
+    exchangeable = 0
+    for rep in classes:
+        pattern = class_pattern(6, rep)
+        adjacent = _adjacency(pattern)
+        exchangeable += _exchangeable(adjacent, _twin_classes(adjacent)) is not None
+        assert_orbits_agree_with_bruteforce(pattern)
+    assert exchangeable == 70
+
+
 @pytest.mark.parametrize("k,count", [(6, 12), (7, 4)])
 def test_orbits_agree_with_bruteforce_on_a_seeded_sample(k, count):
     # a density drawn per pattern, so sparse and dense patterns with larger
@@ -169,6 +190,9 @@ TWIN_RICH = {
     "subdivided-star": PatternGraph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (5, 6)]),
     # twin swaps inside each square mixed with swapping the two squares
     "square+square": KNOWN_ORDERS_8["square+square"][0],
+    # three twin classes of sizes 1, 3 and 2 (centre, leaves, isolated
+    # vertices), no two alike: |Aut| = 3! 2! = 12 with no search
+    "star:3+2": disjoint_union(builtin("star:3"), PatternGraph(2)),
 }
 
 
@@ -177,12 +201,33 @@ def test_orbits_agree_with_bruteforce_on_twin_rich_patterns(name):
     assert_orbits_agree_with_bruteforce(TWIN_RICH[name])
 
 
+def test_twin_classes_settle_the_group_when_no_two_are_alike():
+    def classes(pattern):
+        adjacent = _adjacency(pattern)
+        return _exchangeable(adjacent, _twin_classes(adjacent))
+
+    assert sorted(classes(TWIN_RICH["star:3+2"])) == [0b1, 0b1110, 0b110000]
+    assert automorphism_count(TWIN_RICH["star:3+2"]) == 12
+    assert classes(builtin("node")) == [1]
+    assert sorted(classes(builtin("wedge"))) == [0b10, 0b101]
+    # two classes of one size and degree can trade places: the search counts
+    # those swaps, which a product of factorials would miss (k3,3: 72, not 36)
+    for name in ("k3,3", "square+square"):
+        assert classes(TWIN_RICH[name]) is None
+    assert classes(KNOWN_ORDERS_8["k4+k4"][0]) is None
+    assert automorphism_count(TWIN_RICH["k3,3"]) == 72
+    # twin-free patterns take the search
+    for pattern in (builtin("cycle:7"), builtin("path:8"), cube()):
+        assert _twin_classes(_adjacency(pattern)) == [] and classes(pattern) is None
+
+
 @pytest.mark.parametrize(
     "name,aut_searches,variance_searches",
     [
         ("clique:7", 0, 0),
         ("clique:8", 0, 0),
-        ("star:7", 7, 34),
+        ("star:6", 0, 0),
+        ("star:7", 0, 0),
         # cycle:7's variance takes the tuple order and cycle:8's the edge-set
         # order; each settles a stabiliser's orbits once per pass.  The cube's
         # tuple walk reaches the set {0, 1, 7} from two prefixes, (0, 1, 7)
@@ -195,9 +240,9 @@ def test_orbits_agree_with_bruteforce_on_twin_rich_patterns(name):
 def test_each_automorphism_found_settles_its_whole_orbit(
     monkeypatch, name, aut_searches, variance_searches
 ):
-    # one search per (vertex, target) pair would be 28 for either count; the
-    # twin classes settle every orbit of a clique, and all of a star's but
-    # the centre's, whose every search fails at the degree check
+    # one search per (vertex, target) pair would be 28 for either count; a
+    # clique's or a star's twin classes, no two of one size and degree, give
+    # its group and every orbit with no search
     searches = []
     search = symmetry_module._search
 
@@ -212,3 +257,22 @@ def test_each_automorphism_found_settles_its_whole_orbit(
     searches.clear()
     variance_poly(pattern)
     assert len(searches) <= variance_searches
+
+
+def assert_automorphisms_agree_at_k9():
+    """|Aut| and the stabiliser orbits at every fixed set of at most two
+    vertices agree with the brute force over 9! permutations on star:8,
+    K3,6 and clique:4 with five isolated vertices (read off the twin
+    classes), K3,3,3 (classes alike, searched) and a seeded |Aut| = 1
+    pattern with 12 edges (twin-free, searched).  Past the engine's vertex
+    cap; a CI step runs this outside tier-1."""
+    patterns = [
+        PatternGraph(9, [(0, v) for v in range(1, 9)]),
+        PatternGraph(9, [(u, v) for u in range(3) for v in range(3, 9)]),
+        disjoint_union(builtin("k4"), PatternGraph(5)),
+        PatternGraph(9, [(u, v) for u, v in combinations(range(9), 2) if u // 3 != v // 3]),
+        random_patterns(9, 12, 1, 1, random.Random(912))[0],
+    ]
+    for pattern in patterns:
+        assert automorphism_count(pattern) == automorphism_count_bruteforce(pattern), pattern
+        assert_orbits_agree_with_bruteforce(pattern, most_fixed=2)
